@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .corpus import CorpusEntry, apply_type_overrides
 from .dbio import read_database
-from .executor import ExecutionResult, OutcomeKind, execute, results_equal_relaxed
+from .executor import ExecutionResult, OutcomeKind, Session, execute, results_equal_relaxed
 from .suite import RerankOutcome, SuiteConfig, select_best
 
 
@@ -66,63 +66,67 @@ def evaluate_entry(
     except Exception as exc:  # per-entry failures are recorded, not fatal
         return EntryReport(entry_id=entry.entry_id, error=f"database load: {exc}", tags=entry.tags)
 
-    gold_outcome = execute(db, entry.gold_sql, config.timeout)
-    if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
-        return EntryReport(
-            entry_id=entry.entry_id,
-            error=f"gold execution: {gold_outcome.kind.value} {gold_outcome.message}".strip(),
-            tags=entry.tags,
-        )
-    gold_result = gold_outcome.result
+    # One session on the original database serves the gold run, both top-1
+    # checks, the gate and the re-rank.
+    with Session(db) as session:
+        gold_outcome = execute(session, entry.gold_sql, config.timeout)
+        if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
+            return EntryReport(
+                entry_id=entry.entry_id,
+                error=f"gold execution: {gold_outcome.kind.value} {gold_outcome.message}".strip(),
+                tags=entry.tags,
+            )
+        gold_result = gold_outcome.result
 
-    def _correct(sql: str) -> bool:
-        outcome = execute(db, sql, config.timeout)
-        return (
-            outcome.kind is OutcomeKind.OK
-            and outcome.result is not None
-            and results_equal_relaxed(outcome.result, gold_result)
-        )
+        def _correct(sql: str) -> bool:
+            outcome = execute(session, sql, config.timeout)
+            return (
+                outcome.kind is OutcomeKind.OK
+                and outcome.result is not None
+                and results_equal_relaxed(outcome.result, gold_result)
+            )
 
-    candidates = list(entry.candidates)
-    pre_correct = _correct(candidates[0].sql)
+        candidates = list(entry.candidates)
+        pre_correct = _correct(candidates[0].sql)
 
-    if gate == "paper":
-        flags = [_correct(c.sql) for c in candidates]
-        if not any(flags) or all(flags):
+        if gate == "paper":
+            flags = [_correct(c.sql) for c in candidates]
+            if not any(flags) or all(flags):
+                return EntryReport(
+                    entry_id=entry.entry_id,
+                    pre_top1_correct=pre_correct,
+                    post_top1_correct=pre_correct,
+                    gated_out=True,
+                    tags=entry.tags,
+                )
+
+        seed = entry_seed(base_seed, entry.entry_id)
+        seeded = replace(config, gen=replace(config.gen, seed=seed))
+        oracle = oracle_factory(entry)
+        try:
+            outcome: RerankOutcome = select_best(
+                session, entry.question, candidates, seeded, oracle
+            )
+        except Exception as exc:
             return EntryReport(
                 entry_id=entry.entry_id,
                 pre_top1_correct=pre_correct,
-                post_top1_correct=pre_correct,
-                gated_out=True,
+                error=f"select_best: {exc}",
                 tags=entry.tags,
             )
-
-    seeded = replace(config, gen=replace(config.gen, seed=entry_seed(base_seed, entry.entry_id)))
-    oracle = oracle_factory(entry)
-    try:
-        outcome: RerankOutcome = select_best(
-            db, entry.question, candidates, seeded, oracle
-        )
-    except Exception as exc:
+        post_correct = _correct(outcome.ranked[0].sql)
+        suite = outcome.suite
         return EntryReport(
             entry_id=entry.entry_id,
             pre_top1_correct=pre_correct,
-            error=f"select_best: {exc}",
+            post_top1_correct=post_correct,
+            skipped_all_same=outcome.skipped_all_same,
+            distinguished=suite.distinguished,
+            suite_size=len(suite.cases),
+            oracle_calls=suite.attempts - suite.dropped_duplicate,
+            oracle_unavailable=suite.dropped_unavailable,
             tags=entry.tags,
         )
-    post_correct = _correct(outcome.ranked[0].sql)
-    suite = outcome.suite
-    return EntryReport(
-        entry_id=entry.entry_id,
-        pre_top1_correct=pre_correct,
-        post_top1_correct=post_correct,
-        skipped_all_same=outcome.skipped_all_same,
-        distinguished=suite.distinguished,
-        suite_size=len(suite.cases),
-        oracle_calls=suite.attempts - suite.dropped_duplicate,
-        oracle_unavailable=suite.dropped_unavailable,
-        tags=entry.tags,
-    )
 
 
 def evaluate_corpus(
@@ -185,14 +189,20 @@ def _check_report_consistency(payload: dict[str, Any]) -> None:
     """The aggregates must recompute from the per-entry rows exactly."""
     rows = payload["entries"]
     usable = [r for r in rows if r["error"] is None]
-    assert payload["evaluated"] == len(usable)
-    expect_before = sum(r["pre_top1_correct"] for r in usable) / len(usable) if usable else 0.0
-    expect_after = sum(r["post_top1_correct"] for r in usable) / len(usable) if usable else 0.0
-    assert payload["ex_before"] == expect_before
-    assert payload["ex_after"] == expect_after
-    assert payload["gated_out_count"] == sum(r["gated_out"] for r in rows)
-    assert payload["skipped_count"] == sum(r["skipped_all_same"] for r in rows)
-    assert payload["error_count"] == sum(r["error"] is not None for r in rows)
+    expected = {
+        "evaluated": len(usable),
+        "ex_before": sum(r["pre_top1_correct"] for r in usable) / len(usable) if usable else 0.0,
+        "ex_after": sum(r["post_top1_correct"] for r in usable) / len(usable) if usable else 0.0,
+        "gated_out_count": sum(r["gated_out"] for r in rows),
+        "skipped_count": sum(r["skipped_all_same"] for r in rows),
+        "error_count": sum(r["error"] is not None for r in rows),
+    }
+    for name, value in expected.items():
+        if payload[name] != value:
+            raise ValueError(
+                f"inconsistent report: {name} is {payload[name]!r},"
+                f" the entries give {value!r}"
+            )
 
 
 def render_report_table(report: EvalReport) -> str:

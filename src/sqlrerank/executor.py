@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,17 +66,79 @@ def _normalize_cell(value):
     return value
 
 
-def execute(db: DatabaseInstance, sql: str, timeout: float = DEFAULT_TIMEOUT) -> ExecutionOutcome:
-    """Run one SQL statement on a private in-memory copy of the instance."""
-    conn = sqlite3.connect(":memory:")
-    timed_out = False
-    try:
-        try:
-            load_into_connection(db, conn)
-        except sqlite3.Error as exc:
-            return ExecutionOutcome.sql_error(f"instance load failed: {exc}")
+# Statements a session authorizes after its load: reading only. PRAGMA
+# query_only is not enough, since a candidate can switch it off again.
+_READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
+)
 
+
+def _authorize_read(action: int, *_args) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
+
+
+class Session:
+    """A DatabaseInstance loaded once into a private, read-only connection.
+
+    This is the one place that turns (instance, SQL) into an outcome. The
+    instance is loaded on the first statement; a load failure is the outcome
+    of every statement. After the load only reading statements are
+    authorized, so no statement can change what a later one sees. Outcomes
+    are memoized per (sql, timeout). A session belongs to the thread that
+    opened it. Run statements through `execute(session, sql, timeout)`.
+    """
+
+    def __init__(self, db: DatabaseInstance):
+        self.db = db
+        self.executions = 0
+        self.memo_hits = 0
+        self._conn: sqlite3.Connection | None = None
+        self._load_failure: ExecutionOutcome | None = None
+        self._memo: dict[tuple[str, float], ExecutionOutcome] = {}
+        self._closed = False
+
+    def __enter__(self) -> Session:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._closed = True
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def run(self, sql: str, timeout: float = DEFAULT_TIMEOUT) -> ExecutionOutcome:
+        if self._closed:
+            raise ValueError("session is closed")
+        key = (sql, timeout)
+        outcome = self._memo.get(key)
+        if outcome is not None:
+            self.memo_hits += 1
+            return outcome
+        conn = self._connection()
+        outcome = self._load_failure if conn is None else self._execute(conn, sql, timeout)
+        self._memo[key] = outcome
+        return outcome
+
+    def _connection(self) -> sqlite3.Connection | None:
+        if self._conn is None and self._load_failure is None:
+            conn = sqlite3.connect(":memory:")
+            try:
+                load_into_connection(self.db, conn)
+            except sqlite3.Error as exc:
+                conn.close()
+                self._load_failure = ExecutionOutcome.sql_error(f"instance load failed: {exc}")
+                return None
+            conn.set_authorizer(_authorize_read)
+            self._conn = conn
+        return self._conn
+
+    def _execute(self, conn: sqlite3.Connection, sql: str, timeout: float) -> ExecutionOutcome:
+        self.executions += 1
         deadline = time.monotonic() + timeout
+        timed_out = False
 
         def _check() -> int:
             nonlocal timed_out
@@ -100,8 +164,27 @@ def execute(db: DatabaseInstance, sql: str, timeout: float = DEFAULT_TIMEOUT) ->
                 order_significant=has_top_level_order_by(sql),
             )
         )
-    finally:
-        conn.close()
+
+
+def execute(
+    db: DatabaseInstance | Session, sql: str, timeout: float = DEFAULT_TIMEOUT
+) -> ExecutionOutcome:
+    """Run one SQL statement on an open session, or on a one-shot session
+    over the instance."""
+    if isinstance(db, Session):
+        return db.run(sql, timeout)
+    with Session(db) as session:
+        return session.run(sql, timeout)
+
+
+@contextmanager
+def session_for(db: DatabaseInstance | Session) -> Iterator[Session]:
+    """The open session itself, or a new session closed on exit."""
+    if isinstance(db, Session):
+        yield db
+    else:
+        with Session(db) as session:
+            yield session
 
 
 def _cells_equal(a, b) -> bool:

@@ -81,39 +81,71 @@ class ReplyCache:
     """Append-only store of raw oracle replies, line-delimited JSON.
 
     Records are {"request_id", "timestamp", "reply"}; the latest record for a
-    request id wins.
+    request id wins. A last line without its newline is an append cut short:
+    it is kept if it parses, and otherwise skipped and counted in
+    `torn_lines`. The next put first ends that line or cuts it off, so the
+    new record starts a line of its own. Any other unreadable line raises
+    CacheIo.
     """
 
     def __init__(self, path: str):
         self.path = path
+        self.torn_lines = 0
         self._entries: dict[str, str] = {}
+        # (file size at load, offset of the torn line or None) while the file
+        # does not end with a newline.
+        self._open_tail: tuple[int, int | None] | None = None
         self._load()
 
     def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
         try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._entries[record["request_id"]] = record["reply"]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
             raise CacheIo(f"cannot read cache {self.path}: {exc}") from exc
+        lines = data.split(b"\n")
+        torn_at = None
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                self._entries[record["request_id"]] = record["reply"]
+            except (ValueError, KeyError, TypeError) as exc:
+                if number < len(lines):
+                    raise CacheIo(f"cannot read cache {self.path}: line {number}: {exc}") from exc
+                self.torn_lines += 1
+                torn_at = len(data) - len(line)
+        if lines[-1]:
+            self._open_tail = (len(data), torn_at)
 
     def get(self, request_id: str) -> str | None:
         return self._entries.get(request_id)
 
     def put(self, request_id: str, reply: str) -> None:
         record = {"request_id": request_id, "timestamp": time.time(), "reply": reply}
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            with open(self.path, "ab") as handle:
+                handle.write(self._close_tail(handle) + line)
         except OSError as exc:
             raise CacheIo(f"cannot write cache {self.path}: {exc}") from exc
         self._entries[request_id] = reply
+
+    def _close_tail(self, handle) -> bytes:
+        """Cut off a torn last line, or return the newline an unterminated one
+        lacks. Only while the file is as loaded: another writer may have
+        appended since."""
+        open_tail, self._open_tail = self._open_tail, None
+        if open_tail is None or handle.seek(0, os.SEEK_END) != open_tail[0]:
+            return b""
+        torn_at = open_tail[1]
+        if torn_at is None:
+            return b"\n"
+        handle.truncate(torn_at)
+        return b""
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -24,12 +24,15 @@ from .dbgen import (
 )
 from .executor import (
     DEFAULT_TIMEOUT,
+    ExecutionOutcome,
     ExecutionResult,
     OutcomeKind,
+    Session,
     execute,
     result_canonical_key,
     results_equal,
     results_equal_relaxed,
+    session_for,
 )
 from .instance import DatabaseInstance, instance_from_json, instance_to_json
 from .oracle import build_request
@@ -106,7 +109,7 @@ def _validate_candidates(candidates: list[Candidate]) -> None:
 
 
 def classify_candidates(
-    db: DatabaseInstance,
+    db: DatabaseInstance | Session,
     candidates: list[Candidate],
     timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[list[list[int]], list[Candidate]]:
@@ -119,9 +122,10 @@ def classify_candidates(
     """
     _validate_candidates(candidates)
     by_key: dict[str, list[int]] = {}
-    for i, candidate in enumerate(candidates):
-        key = result_canonical_key(execute(db, candidate.sql, timeout))
-        by_key.setdefault(key, []).append(i)
+    with session_for(db) as session:
+        for i, candidate in enumerate(candidates):
+            key = result_canonical_key(execute(session, candidate.sql, timeout))
+            by_key.setdefault(key, []).append(i)
     classes = list(by_key.values())
 
     def _rep_sort_key(i: int):
@@ -148,15 +152,19 @@ def _numeric_targets(
     """Aggregation/sort columns eligible for number constraining.
 
     Foreign-key endpoints are excluded (constraining them would break
-    referential validity) and so are non-numeric columns.
+    referential validity), so are primary-key columns (values drawn from a
+    small range would collide and the instance would not load) and so are
+    non-numeric columns.
     """
     targets = extract_target_columns(sqls, db.schema)
     keep: set[tuple[str, str]] = set()
     for tname, cname in targets:
         if db.schema.is_foreign_key_endpoint(tname, cname):
             continue
-        ctype = db.schema.table(tname).column(cname).declared_type
-        if ctype in (ColumnType.INTEGER, ColumnType.REAL):
+        column = db.schema.table(tname).column(cname)
+        if column.is_primary_key:
+            continue
+        if column.declared_type in (ColumnType.INTEGER, ColumnType.REAL):
             keep.add((tname, cname))
     return keep
 
@@ -205,10 +213,11 @@ def generate_suite(
         if targets:
             candidate_db = constrain_numbers(candidate_db, targets, gen_config)
 
-        signature = tuple(
-            result_canonical_key(execute(candidate_db, rep.sql, config.timeout))
-            for rep in representatives
-        )
+        with Session(candidate_db) as session:
+            signature = tuple(
+                result_canonical_key(execute(session, rep.sql, config.timeout))
+                for rep in representatives
+            )
         if signature in signature_set:
             dropped_duplicate += 1
             continue
@@ -244,14 +253,18 @@ def pass_count(
     relaxed: bool = True,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> int:
+    return sum(
+        _passes(execute(case.db, candidate.sql, timeout), case, relaxed) for case in suite.cases
+    )
+
+
+def _passes(outcome: ExecutionOutcome, case: TestCase, relaxed: bool) -> bool:
     compare = results_equal_relaxed if relaxed else results_equal
-    count = 0
-    for case in suite.cases:
-        outcome = execute(case.db, candidate.sql, timeout)
-        if outcome.kind is OutcomeKind.OK and outcome.result is not None:
-            if compare(outcome.result, case.expected):
-                count += 1
-    return count
+    return (
+        outcome.kind is OutcomeKind.OK
+        and outcome.result is not None
+        and compare(outcome.result, case.expected)
+    )
 
 
 def rerank(
@@ -273,7 +286,12 @@ def rerank(
             suite=suite,
             oracle_unavailable_count=suite.dropped_unavailable,
         )
-    counts = {c.source_rank: pass_count(c, suite, relaxed, timeout) for c in candidates}
+    # Case-major, so each test database is loaded once for all candidates.
+    counts = {c.source_rank: 0 for c in candidates}
+    for case in suite.cases:
+        with Session(case.db) as session:
+            for c in candidates:
+                counts[c.source_rank] += _passes(execute(session, c.sql, timeout), case, relaxed)
 
     def _sort_key(c: Candidate):
         has_probability = c.probability is not None
@@ -295,7 +313,7 @@ def rerank(
 
 
 def select_best(
-    db: DatabaseInstance,
+    db: DatabaseInstance | Session,
     question: str,
     candidates: list[Candidate],
     config: SuiteConfig,
@@ -303,7 +321,9 @@ def select_best(
 ) -> RerankOutcome:
     """classify -> generate_suite -> rerank; skips when one behavior class."""
     _validate_candidates(candidates)
-    classes, representatives = classify_candidates(db, candidates, config.timeout)
+    with session_for(db) as session:
+        classes, representatives = classify_candidates(session, candidates, config.timeout)
+        original = session.db
     if len(classes) <= 1:
         return RerankOutcome(
             ranked=tuple(candidates),
@@ -312,7 +332,7 @@ def select_best(
             skipped_all_same=True,
         )
     suite = generate_suite(
-        db, question, representatives, config, oracle, all_sqls=[c.sql for c in candidates]
+        original, question, representatives, config, oracle, all_sqls=[c.sql for c in candidates]
     )
     return rerank(candidates, suite, config.relaxed, config.timeout)
 

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import sqlrerank.executor
 from sqlrerank.corpus import load_corpus
 from sqlrerank.dbgen import GenConfig, GenMethod
-from sqlrerank.dbio import write_database
+from sqlrerank.dbio import read_database, write_database
 from sqlrerank.evaluate import (
     EntryReport,
     build_report,
@@ -92,6 +94,21 @@ def test_evaluate_entry_reranks_to_gold(corpus):
     assert report.suite_size >= 1
     assert report.oracle_calls >= report.suite_size
     assert report.error is None
+
+
+def test_evaluate_entry_loads_the_original_once(corpus, monkeypatch):
+    loads = []
+    real_load = sqlrerank.executor.load_into_connection
+    monkeypatch.setattr(
+        sqlrerank.executor,
+        "load_into_connection",
+        lambda db, conn: loads.append(db) or real_load(db, conn),
+    )
+    report = evaluate_entry(corpus[0], reference_factory, cfg())
+    assert not report.gated_out and report.suite_size >= 1
+    original = read_database(corpus[0].db_file)
+    assert sum(db == original for db in loads) == 1
+    assert len(loads) > 1  # the generated databases load too
 
 
 def test_evaluate_entry_keeps_correct_top1(corpus):
@@ -234,6 +251,23 @@ def test_report_json_round_trips_consistency(corpus):
     assert payload["evaluated"] == 4
     assert len(payload["entries"]) == 4
     assert payload["entries"][0]["tags"] == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("evaluated", 3),
+        ("ex_before", 1.0),
+        ("ex_after", 0.0),
+        ("gated_out_count", 0),
+        ("skipped_count", 2),
+        ("error_count", 1),
+    ],
+)
+def test_report_json_rejects_tampered_aggregates(corpus, field, value):
+    report = evaluate_corpus(corpus, reference_factory, cfg())
+    with pytest.raises(ValueError, match=field):
+        report_to_json(replace(report, **{field: value}))
 
 
 def test_render_report_table(corpus):

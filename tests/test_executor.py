@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqlrerank.executor
 from sqlrerank.executor import (
     RELAXED_WIDTH_CAP,
     ExecutionOutcome,
     ExecutionResult,
     OutcomeKind,
+    Session,
     execute,
     result_canonical_key,
     results_equal,
     results_equal_relaxed,
 )
 
+from conftest import make_instance
 from refimpl import exact_equal_reference, relaxed_equal_reference
 
 
@@ -100,6 +103,87 @@ def test_execute_normalizes_blobs(student_instance):
 def test_execute_null_cells(student_instance):
     out = execute(student_instance, "SELECT NULL, name FROM student WHERE student_id = 1")
     assert out.result.rows == ((None, "ann"),)
+
+
+# --- sessions --------------------------------------------------------------------
+
+COUNT_STUDENTS = "SELECT COUNT(*) FROM student"
+ENDLESS = (
+    "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r)"
+    " SELECT count(*) FROM r"
+)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "DELETE FROM student",
+        "CREATE TEMP TABLE x(a)",
+        "PRAGMA query_only=0",
+        "ATTACH ':memory:' AS z",
+    ],
+)
+def test_session_refuses_statements_that_change_it(student_instance, sql):
+    with Session(student_instance) as session:
+        refused = execute(session, sql)
+        assert refused.kind is OutcomeKind.SQL_ERROR
+        assert "not authorized" in refused.message
+        after = execute(session, COUNT_STUDENTS)
+        assert after.kind is OutcomeKind.OK
+        assert after.result.rows == ((4,),)
+        assert session.executions == 2
+
+
+def test_session_recovers_after_timeout(student_instance):
+    with Session(student_instance) as session:
+        assert execute(session, ENDLESS, timeout=0.05).kind is OutcomeKind.TIMEOUT
+        out = execute(session, COUNT_STUDENTS)
+        assert out.kind is OutcomeKind.OK
+        assert out.result.rows == ((4,),)
+
+
+def test_session_memoizes_outcomes(student_instance, monkeypatch):
+    with Session(student_instance) as session:
+        first = execute(session, COUNT_STUDENTS)
+        monkeypatch.setattr(
+            sqlrerank.executor, "has_top_level_order_by", lambda sql: pytest.fail("executed again")
+        )
+        assert execute(session, COUNT_STUDENTS) is first
+        assert (session.executions, session.memo_hits) == (1, 1)
+
+
+def test_session_loads_once_and_lazily(student_instance, monkeypatch):
+    loads = []
+    real_load = sqlrerank.executor.load_into_connection
+    monkeypatch.setattr(
+        sqlrerank.executor,
+        "load_into_connection",
+        lambda db, conn: loads.append(db) or real_load(db, conn),
+    )
+    with Session(student_instance) as session:
+        assert loads == []
+        for sql in (COUNT_STUDENTS, "SELECT name FROM student", "SELECT broken"):
+            execute(session, sql)
+    assert loads == [student_instance]
+
+
+def test_session_load_failure_is_every_outcome(student_schema):
+    duplicate_keys = make_instance(
+        student_schema, {"student": [(1, "ann", 20), (1, "bob", 22)]}
+    )
+    with Session(duplicate_keys) as session:
+        outcomes = [execute(session, sql) for sql in (COUNT_STUDENTS, "SELECT 1")]
+    for out in outcomes:
+        assert out.kind is OutcomeKind.SQL_ERROR
+        assert out.message.startswith("instance load failed: UNIQUE constraint failed")
+    assert session.executions == 0
+
+
+def test_closed_session_refuses_statements(student_instance):
+    session = Session(student_instance)
+    session.close()
+    with pytest.raises(ValueError):
+        execute(session, COUNT_STUDENTS)
 
 
 # --- exact comparison -----------------------------------------------------------

@@ -91,6 +91,48 @@ def test_cache_skips_blank_lines(tmp_path):
     assert ReplyCache(str(path)).get("k") == "r"
 
 
+def test_cache_skips_torn_last_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"})
+    torn = json.dumps({"request_id": "t", "timestamp": 0, "reply": "lost"})[:20]
+    path.write_text(f"{good}\n{torn}")
+    cache = ReplyCache(str(path))
+    assert (cache.get("k"), cache.get("t"), cache.torn_lines) == ("r", None, 1)
+    # The next append cuts the torn bytes off instead of extending that line.
+    cache.put("n", "new")
+    again = ReplyCache(str(path))
+    assert (again.get("k"), again.get("n"), again.torn_lines) == ("r", "new", 0)
+
+
+def test_cache_ends_unterminated_last_record_before_appending(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"}))
+    cache = ReplyCache(str(path))
+    assert (cache.get("k"), cache.torn_lines) == ("r", 0)
+    cache.put("n", "new")
+    again = ReplyCache(str(path))
+    assert (again.get("k"), again.get("n"), again.torn_lines) == ("r", "new", 0)
+
+
+def test_cache_torn_line_left_alone_after_another_append(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"})
+    path.write_text(f"{good}\n{good[:9]}")
+    first, second = ReplyCache(str(path)), ReplyCache(str(path))
+    first.put("a", "1")
+    second.put("b", "2")  # the file changed since second loaded it: no cut
+    again = ReplyCache(str(path))
+    assert (again.get("a"), again.get("b")) == ("1", "2")
+
+
+def test_cache_corrupt_middle_line_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"})
+    path.write_text(f"{good}\n{good[:20]}\n{good}\n")
+    with pytest.raises(CacheIo, match="line 2"):
+        ReplyCache(str(path))
+
+
 def test_cache_corrupt_file(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text("not json at all\n")

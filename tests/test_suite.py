@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sqlrerank.dbgen import GenConfig, GenMethod
-from sqlrerank.executor import ExecutionResult, execute, results_equal
+from sqlrerank.executor import ExecutionResult, OutcomeKind, execute, results_equal
 from sqlrerank.instance import foreign_key_violations
 from sqlrerank.oracle import OraclePrediction, ReferenceOracle
 from sqlrerank.suite import (
@@ -13,6 +13,7 @@ from sqlrerank.suite import (
     SuiteConfig,
     TestCase,
     TestSuite,
+    _numeric_targets,
     classify_candidates,
     dump_json,
     generate_suite,
@@ -234,6 +235,21 @@ def test_generate_suite_constrains_sort_columns(student_instance):
         data = case.db.data_for("student")
         ages = [row[data.columns.index("age")] for row in data.rows]
         assert all(isinstance(a, int) and 1 <= a <= 10 for a in ages)
+
+
+def test_primary_key_is_not_constrained(flat_instance):
+    """Constraining a key to a small range would make its values collide."""
+    reps = [
+        Candidate("SELECT name FROM stadium ORDER BY id LIMIT 2", source_rank=0),
+        Candidate("SELECT name FROM stadium ORDER BY id DESC LIMIT 2", source_rank=1),
+    ]
+    assert _numeric_targets(flat_instance, [r.sql for r in reps]) == set()
+    oracle = RecordingOracle(inner=ReferenceOracle(reps[0].sql))
+    for cfg in (pick_suite_cfg(max_test_cases=4), fuzz_suite_cfg(max_test_cases=4)):
+        suite = generate_suite(flat_instance, "q", reps, cfg, oracle)
+        assert suite.dropped_unavailable == 0
+    for db in oracle.request_dbs:
+        assert execute(db, "SELECT count(*) FROM stadium").kind is OutcomeKind.OK
 
 
 def test_generate_suite_unavailable_oracle(student_instance):
