@@ -90,8 +90,6 @@ class Session:
 
     def __init__(self, db: DatabaseInstance):
         self.db = db
-        self.executions = 0
-        self.memo_hits = 0
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
         self._memo: dict[tuple[str, float], ExecutionOutcome] = {}
@@ -115,7 +113,6 @@ class Session:
         key = (sql, timeout)
         outcome = self._memo.get(key)
         if outcome is not None:
-            self.memo_hits += 1
             return outcome
         conn = self._connection()
         outcome = self._load_failure if conn is None else self._execute(conn, sql, timeout)
@@ -136,7 +133,6 @@ class Session:
         return self._conn
 
     def _execute(self, conn: sqlite3.Connection, sql: str, timeout: float) -> ExecutionOutcome:
-        self.executions += 1
         deadline = time.monotonic() + timeout
         timed_out = False
 

@@ -10,17 +10,18 @@ configured probability, deterministically per request.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import requests
 
 from .errors import CacheIo, ParseFailure
-from .executor import DEFAULT_TIMEOUT, ExecutionResult, OutcomeKind, execute
+from .executor import DEFAULT_TIMEOUT, ExecutionResult, OutcomeKind, Session, execute
 from .instance import DatabaseInstance, instance_to_json
 from .promptgen import Prompt, PromptConfig, build_prompt, parse_answer, render_answer
 
@@ -33,6 +34,8 @@ class OracleRequest:
     db: DatabaseInstance
     question: str
     request_id: str
+    # An open session on db, for backends that execute SQL on it.
+    session: Session | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -68,12 +71,18 @@ def request_id_for(db: DatabaseInstance, question: str, config: PromptConfig) ->
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_request(db: DatabaseInstance, question: str, config: PromptConfig) -> OracleRequest:
+def build_request(
+    db: DatabaseInstance | Session, question: str, config: PromptConfig
+) -> OracleRequest:
+    """A request about an instance, or about an open session's instance."""
+    session = db if isinstance(db, Session) else None
+    instance = db if session is None else session.db
     return OracleRequest(
-        prompt=build_prompt(db, question, config),
-        db=db,
+        prompt=build_prompt(instance, question, config),
+        db=instance,
         question=question,
-        request_id=request_id_for(db, question, config),
+        request_id=request_id_for(instance, question, config),
+        session=session,
     )
 
 
@@ -85,16 +94,18 @@ class ReplyCache:
     it is kept if it parses, and otherwise skipped and counted in
     `torn_lines`. The next put first ends that line or cuts it off, so the
     new record starts a line of its own. Any other unreadable line raises
-    CacheIo.
+    CacheIo. Appends hold an exclusive lock on the file, so cache objects
+    sharing it, in one process or several, do not cut off each other's
+    records.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.torn_lines = 0
         self._entries: dict[str, str] = {}
-        # (file size at load, offset of the torn line or None) while the file
-        # does not end with a newline.
-        self._open_tail: tuple[int, int | None] | None = None
+        # (offset, bytes, torn) of the last line while the file does not end
+        # with a newline.
+        self._open_tail: tuple[int, bytes, bool] | None = None
         self._load()
 
     def _load(self) -> None:
@@ -106,7 +117,7 @@ class ReplyCache:
         except OSError as exc:
             raise CacheIo(f"cannot read cache {self.path}: {exc}") from exc
         lines = data.split(b"\n")
-        torn_at = None
+        torn = False
         for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
@@ -117,9 +128,9 @@ class ReplyCache:
                 if number < len(lines):
                     raise CacheIo(f"cannot read cache {self.path}: line {number}: {exc}") from exc
                 self.torn_lines += 1
-                torn_at = len(data) - len(line)
+                torn = True
         if lines[-1]:
-            self._open_tail = (len(data), torn_at)
+            self._open_tail = (len(data) - len(lines[-1]), lines[-1], torn)
 
     def get(self, request_id: str) -> str | None:
         return self._entries.get(request_id)
@@ -128,7 +139,8 @@ class ReplyCache:
         record = {"request_id": request_id, "timestamp": time.time(), "reply": reply}
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         try:
-            with open(self.path, "ab") as handle:
+            with open(self.path, "a+b") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)  # released on close
                 handle.write(self._close_tail(handle) + line)
         except OSError as exc:
             raise CacheIo(f"cannot write cache {self.path}: {exc}") from exc
@@ -136,16 +148,19 @@ class ReplyCache:
 
     def _close_tail(self, handle) -> bytes:
         """Cut off a torn last line, or return the newline an unterminated one
-        lacks. Only while the file is as loaded: another writer may have
-        appended since."""
+        lacks. Only while that line still ends the file byte for byte:
+        another writer may have closed it and appended since."""
         open_tail, self._open_tail = self._open_tail, None
-        if open_tail is None or handle.seek(0, os.SEEK_END) != open_tail[0]:
+        if open_tail is None:
             return b""
-        torn_at = open_tail[1]
-        if torn_at is None:
-            return b"\n"
-        handle.truncate(torn_at)
-        return b""
+        offset, tail, torn = open_tail
+        handle.seek(offset)
+        if handle.read() != tail:
+            return b""
+        if torn:
+            handle.truncate(offset)
+            return b""
+        return b"\n"
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -161,14 +176,14 @@ class ReferenceOracle:
         self.timeout = timeout
 
     def predict(self, request: OracleRequest) -> OraclePrediction:
-        outcome = execute(request.db, self.gold_sql, self.timeout)
+        outcome = execute(request.session or request.db, self.gold_sql, self.timeout)
         if outcome.kind is not OutcomeKind.OK:
             return OraclePrediction.unavailable(f"gold-{outcome.kind.value}")
         assert outcome.result is not None
         return OraclePrediction.predicted(outcome.result)
 
     def raw_reply(self, request: OracleRequest) -> str:
-        outcome = execute(request.db, self.gold_sql, self.timeout)
+        outcome = execute(request.session or request.db, self.gold_sql, self.timeout)
         if outcome.kind is not OutcomeKind.OK or outcome.result is None:
             raise ParseFailure(f"gold SQL failed: {outcome.kind.value}")
         return render_answer(outcome.result)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -176,6 +177,7 @@ def generate_suite(
     config: SuiteConfig,
     oracle,
     all_sqls: list[str] | None = None,
+    sessions: list[Session] | None = None,
 ) -> TestSuite:
     """Generate up to config.max_test_cases distinguishing test cases.
 
@@ -185,6 +187,11 @@ def generate_suite(
     kept one, otherwise asks the oracle for the expected result (dropping
     the case when the oracle is unavailable). The loop stops early once the
     kept cases distinguish every representative pair.
+
+    Each database is loaded once, into the session that computes its
+    signature and serves the oracle request. When `sessions` is given, the
+    session of each kept case is appended to it, still open and in case
+    order, for `rerank`; the caller closes them.
     """
     if len(representatives) < 2:
         return TestSuite()
@@ -213,24 +220,28 @@ def generate_suite(
         if targets:
             candidate_db = constrain_numbers(candidate_db, targets, gen_config)
 
-        with Session(candidate_db) as session:
+        with ExitStack() as stack:
+            session = stack.enter_context(Session(candidate_db))
             signature = tuple(
                 result_canonical_key(execute(session, rep.sql, config.timeout))
                 for rep in representatives
             )
-        if signature in signature_set:
-            dropped_duplicate += 1
-            continue
+            if signature in signature_set:
+                dropped_duplicate += 1
+                continue
 
-        # The oracle is consulted only for databases worth keeping.
-        prediction = oracle.predict(build_request(candidate_db, question, config.prompt))
-        if not prediction.is_available:
-            dropped_unavailable += 1
-            continue
-        assert prediction.result is not None
-        kept_cases.append(
-            TestCase(db=candidate_db, expected=prediction.result, oracle_tag=oracle_tag)
-        )
+            # The oracle is consulted only for databases worth keeping.
+            prediction = oracle.predict(build_request(session, question, config.prompt))
+            if not prediction.is_available:
+                dropped_unavailable += 1
+                continue
+            assert prediction.result is not None
+            kept_cases.append(
+                TestCase(db=candidate_db, expected=prediction.result, oracle_tag=oracle_tag)
+            )
+            if sessions is not None:
+                sessions.append(session)
+                stack.pop_all()  # the caller closes it
         kept_signatures.append(signature)
         signature_set.add(signature)
         if _pairwise_distinguished(kept_signatures, len(representatives)):
@@ -253,9 +264,25 @@ def pass_count(
     relaxed: bool = True,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> int:
-    return sum(
-        _passes(execute(case.db, candidate.sql, timeout), case, relaxed) for case in suite.cases
-    )
+    return _pass_counts([candidate], suite, relaxed, timeout)[candidate.source_rank]
+
+
+def _pass_counts(
+    candidates: list[Candidate],
+    suite: TestSuite,
+    relaxed: bool,
+    timeout: float,
+    sessions: list[Session] | None = None,
+) -> dict[int, int]:
+    """Pass counts by source_rank. Case-major, so each test database is
+    loaded once for all candidates, or not at all when its open session is
+    given."""
+    counts = {c.source_rank: 0 for c in candidates}
+    for i, case in enumerate(suite.cases):
+        with session_for(case.db if sessions is None else sessions[i]) as session:
+            for c in candidates:
+                counts[c.source_rank] += _passes(execute(session, c.sql, timeout), case, relaxed)
+    return counts
 
 
 def _passes(outcome: ExecutionOutcome, case: TestCase, relaxed: bool) -> bool:
@@ -272,12 +299,17 @@ def rerank(
     suite: TestSuite,
     relaxed: bool = True,
     timeout: float = DEFAULT_TIMEOUT,
+    sessions: list[Session] | None = None,
 ) -> RerankOutcome:
     """Order candidates by pass count, then probability, then original rank.
 
-    An empty suite leaves the input order untouched.
+    An empty suite leaves the input order untouched. `sessions`, when given,
+    are open sessions on the suite's case databases in case order, as
+    `generate_suite` hands them out.
     """
     _validate_candidates(candidates)
+    if sessions is not None and len(sessions) != len(suite.cases):
+        raise ValueError(f"{len(sessions)} sessions for {len(suite.cases)} test cases")
     if not suite.cases:
         scores = tuple(CandidateScore(c, 0) for c in candidates)
         return RerankOutcome(
@@ -286,12 +318,7 @@ def rerank(
             suite=suite,
             oracle_unavailable_count=suite.dropped_unavailable,
         )
-    # Case-major, so each test database is loaded once for all candidates.
-    counts = {c.source_rank: 0 for c in candidates}
-    for case in suite.cases:
-        with Session(case.db) as session:
-            for c in candidates:
-                counts[c.source_rank] += _passes(execute(session, c.sql, timeout), case, relaxed)
+    counts = _pass_counts(candidates, suite, relaxed, timeout, sessions)
 
     def _sort_key(c: Candidate):
         has_probability = c.probability is not None
@@ -331,10 +358,22 @@ def select_best(
             suite=TestSuite(),
             skipped_all_same=True,
         )
-    suite = generate_suite(
-        original, question, representatives, config, oracle, all_sqls=[c.sql for c in candidates]
-    )
-    return rerank(candidates, suite, config.relaxed, config.timeout)
+    # The test databases stay loaded from generation through the re-rank.
+    sessions: list[Session] = []
+    try:
+        suite = generate_suite(
+            original,
+            question,
+            representatives,
+            config,
+            oracle,
+            all_sqls=[c.sql for c in candidates],
+            sessions=sessions,
+        )
+        return rerank(candidates, suite, config.relaxed, config.timeout, sessions)
+    finally:
+        for session in sessions:
+            session.close()
 
 
 def _result_to_json(result: ExecutionResult) -> dict[str, Any]:

@@ -1,4 +1,6 @@
+import fcntl
 import json
+import threading
 
 import pytest
 import requests
@@ -123,6 +125,37 @@ def test_cache_torn_line_left_alone_after_another_append(tmp_path):
     second.put("b", "2")  # the file changed since second loaded it: no cut
     again = ReplyCache(str(path))
     assert (again.get("a"), again.get("b")) == ("1", "2")
+
+
+def test_cache_keeps_a_record_as_long_as_the_torn_line(tmp_path, monkeypatch):
+    monkeypatch.setattr("sqlrerank.oracle.time.time", lambda: 1.0)
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"})
+    first_line = json.dumps({"reply": "1", "request_id": "a", "timestamp": 1.0}, sort_keys=True)
+    torn = first_line[:-1] + "xx"  # as long as first's record with its newline
+    path.write_text(f"{good}\n{torn}")
+    first, second = ReplyCache(str(path)), ReplyCache(str(path))
+    first.put("a", "1")
+    assert path.stat().st_size == len(good) + 1 + len(torn)
+    second.put("b", "2")  # the torn line is gone: second must not cut again
+    again = ReplyCache(str(path))
+    assert (again.get("k"), again.get("a"), again.get("b"), again.torn_lines) == ("r", "1", "2", 0)
+
+
+def test_cache_put_waits_for_the_file_lock(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"})
+    path.write_text(f"{good}\n{good[:9]}")
+    cache = ReplyCache(str(path))
+    with open(path, "rb") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        writer = threading.Thread(target=cache.put, args=("a", "1"))
+        writer.start()
+        writer.join(0.2)
+        assert writer.is_alive()  # blocked before cutting or appending
+        assert path.read_text() == f"{good}\n{good[:9]}"
+    writer.join()
+    assert ReplyCache(str(path)).get("a") == "1"
 
 
 def test_cache_corrupt_middle_line_raises(tmp_path):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+import sqlrerank.executor
 from sqlrerank.dbgen import GenConfig, GenMethod
-from sqlrerank.executor import ExecutionResult, OutcomeKind, execute, results_equal
+from sqlrerank.executor import ExecutionResult, OutcomeKind, Session, execute, results_equal
 from sqlrerank.instance import foreign_key_violations
 from sqlrerank.oracle import OraclePrediction, ReferenceOracle
 from sqlrerank.suite import (
@@ -380,6 +381,12 @@ def test_rerank_is_stable_for_equal_keys(student_instance):
     assert [c.source_rank for c in outcome.ranked] == [0, 1]
 
 
+def test_rerank_rejects_sessions_not_matching_cases(student_instance):
+    candidates = [Candidate(GOLD_MIN, source_rank=0)]
+    with pytest.raises(ValueError, match="0 sessions for 1 test cases"):
+        rerank(candidates, _handmade_suite(student_instance), sessions=[])
+
+
 # --- select_best ---------------------------------------------------------------------------
 
 
@@ -431,6 +438,32 @@ def test_select_best_unavailable_oracle_keeps_order(student_instance):
     assert outcome.ranked == tuple(candidates)
     assert outcome.oracle_unavailable_count == 4
     assert not outcome.skipped_all_same
+
+
+def test_select_best_loads_each_database_once(student_instance, monkeypatch):
+    loads, closed = [], []
+    real_load, real_close = sqlrerank.executor.load_into_connection, Session.close
+    monkeypatch.setattr(
+        sqlrerank.executor,
+        "load_into_connection",
+        lambda db, conn: loads.append(db) or real_load(db, conn),
+    )
+    monkeypatch.setattr(Session, "close", lambda self: closed.append(self) or real_close(self))
+    candidates = [
+        Candidate(WRONG_MAX, probability=0.9, source_rank=0),
+        Candidate(GOLD_MIN, probability=0.1, source_rank=1),
+    ]
+    outcome = select_best(
+        student_instance, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+    )
+    assert outcome.ranked[0].sql == GOLD_MIN
+    # The original, then each generated database once: its signature, the
+    # oracle's gold run and the re-rank share one load.
+    assert loads[0] is student_instance
+    assert len(loads) == 1 + outcome.suite.attempts
+    assert len({id(db) for db in loads}) == len(loads)
+    # Every session is closed, the ones handed on to the re-rank too.
+    assert len({id(session) for session in closed}) == len(loads)
 
 
 # --- serialization ----------------------------------------------------------------------------
