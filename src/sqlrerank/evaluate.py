@@ -78,13 +78,17 @@ def evaluate_entry(
             )
         gold_result = gold_outcome.result
 
+        verdicts: dict[str, bool] = {}  # each candidate SQL is compared once
+
         def _correct(sql: str) -> bool:
-            outcome = execute(session, sql, config.timeout)
-            return (
-                outcome.kind is OutcomeKind.OK
-                and outcome.result is not None
-                and results_equal_relaxed(outcome.result, gold_result)
-            )
+            if sql not in verdicts:
+                outcome = execute(session, sql, config.timeout)
+                verdicts[sql] = (
+                    outcome.kind is OutcomeKind.OK
+                    and outcome.result is not None
+                    and results_equal_relaxed(outcome.result, gold_result)
+                )
+            return verdicts[sql]
 
         candidates = list(entry.candidates)
         pre_correct = _correct(candidates[0].sql)

@@ -1,9 +1,9 @@
 """Executing SQL on a DatabaseInstance and comparing execution results."""
 from __future__ import annotations
 
-import itertools
 import sqlite3
 import time
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from .dbio import load_into_connection
 from .instance import DatabaseInstance
 from .sqlanalysis import has_top_level_order_by
 
-NUMERIC_TOLERANCE = 1e-6
 DEFAULT_TIMEOUT = 5.0
 
 # How often (in VM instructions) the progress handler checks the deadline.
@@ -183,93 +182,162 @@ def session_for(db: DatabaseInstance | Session) -> Iterator[Session]:
             yield session
 
 
-def _cells_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
-    b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
-    if a_num and b_num:
-        return abs(a - b) <= NUMERIC_TOLERANCE
-    if a_num or b_num:
-        return False
-    return a == b
+def _canon(value):
+    """The one cell normalization behind equality, relaxed matching and
+    canonical keys.
+
+    A float rounds to 6 places, and a whole one becomes the int of its value;
+    ints stay exact. A bool gets a tag of its own, so True is not 1.
+    """
+    if isinstance(value, float):
+        rounded = round(value, 6)
+        return int(rounded) if rounded.is_integer() else rounded
+    if isinstance(value, bool):
+        return ("b", value)  # encoded in keys as b:True or b:False
+    return value
 
 
-def _rows_equal(a: tuple, b: tuple) -> bool:
-    return len(a) == len(b) and all(_cells_equal(x, y) for x, y in zip(a, b))
+# Cells of these types are already canonical.
+_CANONICAL_TYPES = frozenset({int, str, type(None)})
 
 
-def _cell_sort_key(value):
-    if value is None:
-        return (0, "")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (1, round(float(value), 6))
-    return (2, str(value))
-
-
-def _row_sort_key(row: tuple):
-    return tuple(_cell_sort_key(v) for v in row)
+def _canon_rows(rows: tuple[tuple, ...]) -> list[tuple]:
+    """Canonical rows. A row whose cells are all ints, text or NULL is reused."""
+    return [
+        row if _CANONICAL_TYPES.issuperset(map(type, row)) else tuple(map(_canon, row))
+        for row in rows
+    ]
 
 
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
-    """Equality with numeric tolerance: positional when either side's order is
-    significant, multiset otherwise. Column labels are ignored."""
+    """Equality of canonical cells: positional when either side's order is
+    significant, multiset otherwise. Column labels are ignored.
+
+    Numbers compare after rounding to 6 places, so 1.0000004 equals 1.0 and
+    1.0000005 equals 1.000001; a whole float equals the int of its value,
+    ints compare exactly, and a bool never equals a number. Two results with
+    columns are equal exactly when their `result_canonical_key`s are, given
+    the same order flag.
+    """
     if len(a.columns) != len(b.columns) or len(a.rows) != len(b.rows):
         return False
+    rows_a, rows_b = _canon_rows(a.rows), _canon_rows(b.rows)
     if a.order_significant or b.order_significant:
-        return all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
-    a_sorted = sorted(a.rows, key=_row_sort_key)
-    b_sorted = sorted(b.rows, key=_row_sort_key)
-    return all(_rows_equal(x, y) for x, y in zip(a_sorted, b_sorted))
-
-
-# Injection search is exponential in width; beyond this many columns on the
-# wider side, the relaxed comparison falls back to the exact one.
-RELAXED_WIDTH_CAP = 8
+        return rows_a == rows_b
+    return Counter(rows_a) == Counter(rows_b)
 
 
 def results_equal_relaxed(a: ExecutionResult, b: ExecutionResult) -> bool:
     """Equality up to projecting the wider result onto a column subset.
 
     True when some injective mapping of the narrower result's columns into
-    the wider one makes results_equal hold on the projection. The projection
-    keeps the wider side's order-significance flag. Equal widths degrade to a
-    column-permutation search.
+    the wider one makes results_equal hold on the projection (same numeric
+    semantics: 6-place rounding, exact ints). Equal widths degrade to a
+    column permutation. There is no width limit: each narrow column is only
+    paired with wide columns holding the same values (the same sequence when
+    either side is ordered, the same multiset otherwise), and a partial
+    mapping is dropped as soon as its projection stops matching.
     """
     if len(a.rows) != len(b.rows):
         return False
-    if len(a.columns) <= len(b.columns):
-        narrow, wide = a, b
-    else:
-        narrow, wide = b, a
-    if len(wide.columns) > RELAXED_WIDTH_CAP:
-        return results_equal(a, b)
-    if len(narrow.columns) == 0:
-        return len(wide.columns) == 0
-    for mapping in itertools.permutations(range(len(wide.columns)), len(narrow.columns)):
-        projected = ExecutionResult(
-            columns=tuple(wide.columns[i] for i in mapping),
-            rows=tuple(tuple(row[i] for i in mapping) for row in wide.rows),
-            order_significant=wide.order_significant,
-        )
-        if results_equal(narrow, projected):
-            return True
+    narrow, wide = (a, b) if len(a.columns) <= len(b.columns) else (b, a)
+    if not narrow.columns:
+        return not wide.columns
+    if not narrow.rows:
+        return True
+    ordered = a.order_significant or b.order_significant
+    narrow_rows, wide_rows = _canon_rows(narrow.rows), _canon_rows(wide.rows)
+    narrow_columns, wide_columns = list(zip(*narrow_rows)), list(zip(*wide_rows))
+
+    signature = tuple if ordered else Counter
+    wide_signatures = [signature(column) for column in wide_columns]
+    choices = []
+    for column in narrow_columns:
+        narrow_signature = signature(column)
+        choices.append([j for j, sig in enumerate(wide_signatures) if sig == narrow_signature])
+    # Narrow columns with equal signatures share their choices, and each
+    # group needs a wide column per member.
+    for group, need in Counter(map(tuple, choices)).items():
+        if len(group) < need:
+            return False
+    if ordered:
+        # Equal value sequences in every column are equal rows.
+        return True
+
+    # The most constrained narrow columns go first; targets[d] is the
+    # multiset of narrow rows projected onto the first d + 1 of them.
+    order = sorted(range(len(choices)), key=lambda i: len(choices[i]))
+    targets = []
+    prefix: list[tuple] = [()] * len(narrow_rows)
+    for i in order:
+        prefix = [p + (v,) for p, v in zip(prefix, narrow_columns[i])]
+        targets.append(Counter(prefix))
+    return _extend_mapping(
+        [()] * len(wide_rows), [], [choices[i] for i in order], wide_columns, targets
+    )
+
+
+def _extend_mapping(
+    prefix: list[tuple],
+    chosen: list[int],
+    choices: list[list[int]],
+    wide_columns: list[tuple],
+    targets: list[Counter],
+) -> bool:
+    """Extend a partial column mapping depth first.
+
+    `chosen` holds the wide column picked at each depth so far and `prefix`
+    the wide rows projected onto them. A pick is kept only while the
+    projection's multiset equals the narrow one at the same depth.
+    """
+    depth = len(chosen)
+    if depth == len(choices):
+        return True
+    tried = set()
+    for j in choices[depth]:
+        column = wide_columns[j]
+        if j in chosen or column in tried:
+            continue  # an identical column was already tried at this depth
+        tried.add(column)
+        projected = [p + (v,) for p, v in zip(prefix, column)]
+        if Counter(projected) == targets[depth]:
+            chosen.append(j)
+            if _extend_mapping(projected, chosen, choices, wide_columns, targets):
+                return True
+            chosen.pop()
     return False
 
 
-def _canonical_cell(value) -> str:
-    if value is None:
+# Keys escape the separators inside text, so distinct rows never share one.
+_KEY_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", ";": "\\;"})
+
+
+def _encode(cell) -> str:
+    if cell is None:
         return "~"
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        n = round(float(value), 6)
-        if n == int(n):
-            return f"n:{int(n)}"
-        return f"n:{n!r}"
-    return f"t:{value}"
+    if isinstance(cell, str):
+        if "|" in cell or ";" in cell or "\\" in cell:
+            cell = cell.translate(_KEY_ESCAPES)
+        return f"t:{cell}"
+    if isinstance(cell, (int, float)):
+        return f"n:{cell!r}"
+    if isinstance(cell, tuple):
+        return f"{cell[0]}:{cell[1]}"
+    return f"t:{cell}"
+
+
+def _sort_position(cell):
+    """NULL first, then numbers by value, then everything else by its text."""
+    if cell is None:
+        return (0, 0)
+    if isinstance(cell, (int, float)):
+        return (1, cell)
+    return (2, _encode(cell))
 
 
 def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
-    """A comparable token: equal results get equal tokens.
+    """A comparable token: two results with columns get equal tokens exactly
+    when they are results_equal and share the order flag.
 
     Error and timeout outcomes map to reserved tokens keyed by kind alone.
     Rows are sorted into the token unless order is significant.
@@ -282,7 +350,9 @@ def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
         return "!timeout"
     result = outcome.result
     assert result is not None
-    rows = result.rows if result.order_significant else sorted(result.rows, key=_row_sort_key)
-    encoded = ";".join("|".join(_canonical_cell(v) for v in row) for row in rows)
+    rows = _canon_rows(result.rows)
+    if not result.order_significant:
+        rows.sort(key=lambda row: tuple(map(_sort_position, row)))
+    encoded = ";".join("|".join(map(_encode, row)) for row in rows)
     flag = "o" if result.order_significant else "u"
     return f"ok:{len(result.columns)}:{flag}:{encoded}"

@@ -1,11 +1,28 @@
 """Brute-force reference comparisons, written straight from the definitions.
 
-These avoid the production code paths on purpose: no tolerance handling (the
-alphabets they are used with contain no floats) and no early exits beyond the
+These avoid the production code paths on purpose: cells are canonicalized
+here from the definition, and there are no early exits beyond the
 definition itself.
 """
+import math
 from collections import Counter
 from itertools import permutations
+
+
+def canonical_cell(value):
+    """A float rounds to 6 places and a whole one becomes the int of its
+    value; ints stay exact; a bool is kept apart from the numbers."""
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, float) and math.isfinite(value):
+        value = round(value, 6)
+        if value == math.floor(value):
+            return int(value)
+    return value
+
+
+def _rows(result):
+    return [tuple(canonical_cell(v) for v in row) for row in result.rows]
 
 
 def exact_equal_reference(a, b):
@@ -13,8 +30,8 @@ def exact_equal_reference(a, b):
     if len(a.columns) != len(b.columns) or len(a.rows) != len(b.rows):
         return False
     if a.order_significant or b.order_significant:
-        return list(a.rows) == list(b.rows)
-    return Counter(a.rows) == Counter(b.rows)
+        return _rows(a) == _rows(b)
+    return Counter(_rows(a)) == Counter(_rows(b))
 
 
 def relaxed_equal_reference(a, b):
@@ -26,9 +43,10 @@ def relaxed_equal_reference(a, b):
     if len(narrow.columns) == 0:
         return len(wide.columns) == 0
     ordered = narrow.order_significant or wide.order_significant
-    narrow_rows = list(narrow.rows)
+    narrow_rows = _rows(narrow)
+    wide_rows = _rows(wide)
     for mapping in permutations(range(len(wide.columns)), len(narrow.columns)):
-        projected = [tuple(row[i] for i in mapping) for row in wide.rows]
+        projected = [tuple(row[i] for i in mapping) for row in wide_rows]
         if ordered:
             if projected == narrow_rows:
                 return True

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import sqlrerank.evaluate
 import sqlrerank.executor
 from sqlrerank.corpus import load_corpus
 from sqlrerank.dbgen import GenConfig, GenMethod
@@ -110,6 +111,22 @@ def test_evaluate_entry_loads_the_original_once(corpus, monkeypatch):
     assert sum(db == original for db in loads) == 1
     # The generated databases load too, each once.
     assert len({id(db) for db in loads}) == len(loads) > 1
+
+
+def test_evaluate_entry_compares_each_candidate_once(corpus, monkeypatch):
+    calls = []
+    real_compare = sqlrerank.evaluate.results_equal_relaxed
+    monkeypatch.setattr(
+        sqlrerank.evaluate,
+        "results_equal_relaxed",
+        lambda a, b: calls.append(a) or real_compare(a, b),
+    )
+    entry = corpus[0]
+    report = evaluate_entry(entry, reference_factory, cfg())
+    assert not report.gated_out and report.post_top1_correct
+    # Candidate 0 (pre gate and flags) and the re-ranked top-1 are not
+    # compared again.
+    assert len(calls) == len({c.sql for c in entry.candidates}) == 2
 
 
 def test_evaluate_entry_keeps_correct_top1(corpus):

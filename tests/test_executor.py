@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 import sqlrerank.executor
 from sqlrerank.executor import (
-    RELAXED_WIDTH_CAP,
     ExecutionOutcome,
     ExecutionResult,
     OutcomeKind,
@@ -218,7 +218,9 @@ def test_equal_both_ordered_same():
 
 
 def test_equal_numeric_tolerance():
-    assert results_equal(res([[1.0]]), res([[1.0 + 5e-7]]))
+    # Numbers round to 6 places: 1.0 + 4e-7 rounds to 1.0, 1.0 + 5e-7 to 1.000001.
+    assert results_equal(res([[1.0]]), res([[1.0 + 4e-7]]))
+    assert not results_equal(res([[1.0]]), res([[1.0 + 5e-7]]))
     assert not results_equal(res([[1.0]]), res([[1.01]]))
     assert results_equal(res([[1]]), res([[1.0]]))
 
@@ -294,13 +296,59 @@ def test_relaxed_zero_width():
     assert not results_equal_relaxed(a, c)
 
 
-def test_relaxed_wide_cap_falls_back_to_exact():
-    width = RELAXED_WIDTH_CAP + 1
-    wide_row = tuple(range(width))
-    wide = ExecutionResult(columns=tuple(f"c{i}" for i in range(width)), rows=(wide_row,))
-    narrow = res([[3]])
-    # A projection onto column 3 would match, but the cap forbids the search.
-    assert not results_equal_relaxed(narrow, wide)
+def test_relaxed_has_no_width_limit():
+    rows = [[r * 10 + j for j in range(9)] for r in range(3)]
+    swapped = [row[:] for row in rows]
+    for row in swapped:
+        row[2], row[7] = row[7], row[2]
+    assert results_equal_relaxed(res(rows), res(swapped))
+    assert results_equal_relaxed(res([[3], [13], [23]]), res(rows))
+
+
+def _cyclic(n):
+    """Column j holds (row + j) % n: every column holds the same values."""
+    return [[(r + j) % n for j in range(n)] for r in range(n)]
+
+
+def test_relaxed_cyclic_shift_permutation_matches():
+    rows = _cyclic(12)
+    perm = [5, 0, 11, 3, 8, 1, 10, 6, 2, 9, 4, 7]
+    permuted = [[row[p] for p in perm] for row in rows]
+    assert results_equal_relaxed(res(rows), res(permuted))
+    assert results_equal_relaxed(res(rows, ordered=True), res(permuted))
+    # Under a significant order the rows must line up as well.
+    assert results_equal_relaxed(res(rows), res(permuted[::-1]))
+    assert not results_equal_relaxed(res(rows, ordered=True), res(permuted[::-1]))
+
+
+def test_relaxed_cyclic_shift_near_miss_is_rejected():
+    rows = _cyclic(12)
+    near = [row[:] for row in rows]
+    # Swapping two cells of one column keeps every column's values.
+    near[0][4], near[1][4] = near[1][4], near[0][4]
+    assert not results_equal_relaxed(res(rows), res(near))
+    perm = [5, 0, 11, 3, 8, 1, 10, 6, 2, 9, 4, 7]
+    permuted = [[row[p] for p in perm] for row in rows]
+    assert not results_equal_relaxed(res(permuted), res(near))
+
+
+def test_equal_large_ints_stay_exact():
+    a, b = res([[9007199254740993]]), res([[9007199254740992]])
+    assert not results_equal(a, b)
+    assert result_canonical_key(a) != result_canonical_key(b)
+    assert results_equal(b, res([[9007199254740992.0]]))
+
+
+def test_equal_infinity():
+    inf = float("inf")
+    assert results_equal(res([[inf]]), res([[inf]]))
+    assert not results_equal(res([[inf]]), res([[-inf]]))
+    assert result_canonical_key(res([[inf], [-inf]])) == "ok:1:u:n:-inf;n:inf"
+
+
+def test_canonical_key_escapes_separators():
+    assert result_canonical_key(res([["a|t:b", "c"]])) != result_canonical_key(res([["a", "b|t:c"]]))
+    assert result_canonical_key(res([["a;t:b"]])) != result_canonical_key(res([["a"], ["b"]]))
 
 
 def test_relaxed_matches_reference_small_space():
@@ -326,7 +374,25 @@ def test_relaxed_matches_reference_small_space():
 # --- properties ---------------------------------------------------------------------
 
 
-safe_cells = st.one_of(st.none(), st.integers(-5, 5), st.sampled_from(["a", "b"]))
+# Floats within 1e-7 of a 6-place rounding boundary, so that near neighbours
+# land on either side of it.
+boundary_floats = st.builds(
+    lambda n, k, d: n + (k + 0.5) * 1e-6 + d,
+    st.integers(-1, 1),
+    st.integers(-1, 0),
+    st.sampled_from([-1e-7, -4e-8, 0.0, 4e-8, 1e-7]),
+)
+safe_cells = st.one_of(
+    st.none(),
+    st.integers(-5, 5),
+    st.sampled_from(["a", "b", "a|b", "a;b", "\\"]),
+    st.integers(-2, 2).map(float),
+    boundary_floats,
+    # Above 2**53 floats skip integers, but ints stay exact.
+    st.integers(2**53, 2**53 + 2),
+    st.just(float(2**53)),
+    st.sampled_from([math.inf, -math.inf]),
+)
 
 
 @st.composite
@@ -410,3 +476,43 @@ def test_canonical_key_whole_floats_match_ints():
 
 def test_canonical_key_null_vs_text():
     assert result_canonical_key(res([[None]])) != result_canonical_key(res([["~"]]))
+
+
+# --- agreement with the reference, floats included -----------------------------------
+
+
+def _rounded(value):
+    return round(value, 6) if isinstance(value, float) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_results(), small_results())
+def test_equal_iff_same_canonical_key(a, b):
+    b = ExecutionResult(b.columns, b.rows, a.order_significant)
+    assert results_equal(a, b) == (result_canonical_key(a) == result_canonical_key(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_results(), small_results())
+def test_comparisons_match_reference_with_floats(a, b):
+    assert results_equal(a, b) == exact_equal_reference(a, b)
+    assert results_equal_relaxed(a, b) == relaxed_equal_reference(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_results(), st.randoms(use_true_random=False))
+def test_rounded_projection_matches_reference(r, rng):
+    """A column subset of r, permuted, with every float rounded to 6 places
+    (and rows shuffled when order does not count) is a relaxed match."""
+    width = len(r.columns)
+    mapping = rng.sample(range(width), rng.randint(1, width))
+    rows = [tuple(_rounded(row[i]) for i in mapping) for row in r.rows]
+    if not r.order_significant:
+        rng.shuffle(rows)
+    projected = ExecutionResult(tuple(r.columns[i] for i in mapping), tuple(rows), r.order_significant)
+    assert results_equal_relaxed(projected, r)
+    assert relaxed_equal_reference(projected, r)
+    if len(mapping) == width:
+        same_order = ExecutionResult(r.columns, tuple(tuple(map(_rounded, row)) for row in r.rows), r.order_significant)
+        assert results_equal(r, same_order) and exact_equal_reference(r, same_order)
+        assert result_canonical_key(r) == result_canonical_key(same_order)

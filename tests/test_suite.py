@@ -99,6 +99,19 @@ def test_classify_groups_equivalent_sql(student_instance):
     assert reps[1].source_rank == 2
 
 
+def test_classify_survives_infinite_results(student_instance):
+    candidates = [
+        Candidate("SELECT 1e999", source_rank=0),
+        Candidate("SELECT -1e999", source_rank=1),
+        Candidate("SELECT 2e999", source_rank=2),
+    ]
+    classes, _ = classify_candidates(student_instance, candidates)
+    assert classes == [[0, 2], [1]]
+    inf = execute(student_instance, "SELECT 1e999").result
+    assert inf.rows == ((float("inf"),),)
+    assert results_equal(inf, execute(student_instance, "SELECT 2e999").result)
+
+
 def test_classify_first_appearance_order(student_instance):
     candidates = [
         Candidate("SELECT age FROM student", source_rank=0),
