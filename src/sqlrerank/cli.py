@@ -7,7 +7,7 @@ import os
 import sys
 
 from .corpus import CorpusEntry, load_candidates_file, load_corpus
-from .dbgen import GenConfig, GenMethod, fuzz_database, sample_database
+from .dbgen import GenConfig, GenMethod, generate_database
 from .dbio import read_database, write_database
 from .errors import SqlRerankError
 from .evaluate import dump_report, evaluate_corpus, render_report_table
@@ -46,11 +46,19 @@ def _gen_method(name: str) -> GenMethod:
         raise SqlRerankError(f"unknown generation method {name!r}") from None
 
 
+def _flag_or_config(args, config: dict, name: str, default: int) -> int:
+    """A flag's value when it is given, else the config file's, else the default."""
+    value = getattr(args, name, None)
+    return value if value is not None else int(config.get(name, default))
+
+
 def _build_suite_config(args, config: dict) -> SuiteConfig:
-    method = _gen_method(args.method or config.get("method", "random-selection"))
-    mts = args.mts if args.mts is not None else int(config.get("mts", 5))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    n = args.n if getattr(args, "n", None) is not None else int(config.get("n", 10))
+    """Settings from flags over the config file over the defaults; each
+    subcommand passes the flags it has."""
+    method = _gen_method(getattr(args, "method", None) or config.get("method", "random-selection"))
+    mts = _flag_or_config(args, config, "mts", 5)
+    seed = _flag_or_config(args, config, "seed", 0)
+    n = _flag_or_config(args, config, "n", 10)
     db_format = DbFormat(getattr(args, "format", None) or config.get("format", "csv"))
     comparison = getattr(args, "comparison", None) or config.get("comparison", "relaxed")
     if comparison not in ("relaxed", "exact"):
@@ -72,7 +80,14 @@ def _build_suite_config(args, config: dict) -> SuiteConfig:
     )
 
 
-def _build_oracle(args, entry_gold_sql: str | None = None):
+def _reply_cache(args) -> ReplyCache | None:
+    """The reply cache of a run, read once; the reference oracle uses none."""
+    if args.oracle == "reference" or not getattr(args, "cache", None):
+        return None
+    return ReplyCache(args.cache)
+
+
+def _build_oracle(args, cache: ReplyCache | None, entry_gold_sql: str | None = None):
     kind = args.oracle
     if kind == "reference":
         gold = entry_gold_sql or getattr(args, "gold_sql", None)
@@ -83,27 +98,17 @@ def _build_oracle(args, entry_gold_sql: str | None = None):
         if not args.base_url:
             raise SqlRerankError("the remote oracle needs --base-url")
         remote = RemoteOracle(base_url=args.base_url, model=args.model)
-        if getattr(args, "cache", None):
-            return ReplayOracle(ReplyCache(args.cache), delegate=remote)
-        return remote
+        return remote if cache is None else ReplayOracle(cache, delegate=remote)
     if kind == "replay":
-        if not getattr(args, "cache", None):
+        if cache is None:
             raise SqlRerankError("the replay oracle needs --cache")
-        return ReplayOracle(ReplyCache(args.cache))
+        return ReplayOracle(cache)
     raise SqlRerankError(f"unknown oracle {kind!r}")
 
 
 def _cmd_gen_db(args) -> int:
-    config = _load_config_file(args.config)
-    method = _gen_method(args.method or config.get("method", "random-selection"))
-    mts = args.mts if args.mts is not None else int(config.get("mts", 5))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    gen = GenConfig(mts=mts, method=method, seed=seed)
-    original = read_database(args.db)
-    if method is GenMethod.FUZZING:
-        instance = fuzz_database(original.schema, gen)
-    else:
-        instance = sample_database(original, gen)
+    gen = _build_suite_config(args, _load_config_file(args.config)).gen
+    instance = generate_database(read_database(args.db), gen)
     if os.path.exists(args.out):
         os.remove(args.out)
     write_database(instance, args.out)
@@ -117,7 +122,7 @@ def _cmd_gen_suite(args) -> int:
     suite_config = _build_suite_config(args, config)
     db = read_database(args.db)
     candidates = list(load_candidates_file(args.candidates_file))
-    oracle = _build_oracle(args)
+    oracle = _build_oracle(args, _reply_cache(args))
     classes, representatives = classify_candidates(db, candidates, suite_config.timeout)
     if len(classes) <= 1:
         print("skipped: all candidates fall into one behavior class")
@@ -144,14 +149,11 @@ def _cmd_gen_suite(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
-    config = _load_config_file(args.config)
-    comparison = args.comparison or config.get("comparison", "relaxed")
-    if comparison not in ("relaxed", "exact"):
-        raise SqlRerankError(f"unknown comparison mode {comparison!r}")
+    relaxed = _build_suite_config(args, _load_config_file(args.config)).relaxed
     with open(args.suite, encoding="utf-8") as handle:
         suite = suite_from_json(json.load(handle))
     candidates = list(load_candidates_file(args.candidates_file))
-    outcome = rerank(candidates, suite, relaxed=(comparison == "relaxed"))
+    outcome = rerank(candidates, suite, relaxed=relaxed)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(dump_json(outcome_to_json(outcome)))
     before = candidates[0].sql
@@ -164,11 +166,13 @@ def _cmd_rerank(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config_file(args.config)
     suite_config = _build_suite_config(args, config)
-    workers = args.workers if args.workers is not None else int(config.get("workers", 1))
+    workers = _flag_or_config(args, config, "workers", 1)
     entries = load_corpus(args.corpus)
+    # One cache for every entry and worker: put() locks the file.
+    cache = _reply_cache(args)
 
     def oracle_factory(entry: CorpusEntry):
-        return _build_oracle(args, entry_gold_sql=entry.gold_sql)
+        return _build_oracle(args, cache, entry_gold_sql=entry.gold_sql)
 
     report = evaluate_corpus(
         entries,

@@ -26,7 +26,7 @@ from .schema import (
     reverse_topo_order,
     topo_order_parents_first,
 )
-from .sqlanalysis import analyze_all
+from .sqlanalysis import SqlAnalysis, analyze_all
 
 log = logging.getLogger(__name__)
 
@@ -308,41 +308,52 @@ def constrain_numbers(
     return DatabaseInstance(schema=schema, tables=tables)
 
 
-def extract_target_columns(
-    candidate_sqls: list[str], schema: SchemaGraph
+def _numeric_targets(
+    schema: SchemaGraph, analyses: list[SqlAnalysis]
 ) -> set[tuple[str, str]]:
-    """Columns used in aggregation or sorting by any candidate, alias-resolved.
+    """Aggregation/sort columns eligible for number constraining.
 
-    Unparsable candidates are skipped with a warning.
+    Foreign-key endpoints are excluded (constraining them would break
+    referential validity), so are primary-key columns (values drawn from a
+    small range would collide and the instance would not load) and so are
+    non-numeric columns.
     """
-    analyses, _warnings = analyze_all(candidate_sqls, schema)
-    targets: set[tuple[str, str]] = set()
+    keep: set[tuple[str, str]] = set()
     for analysis in analyses:
-        targets |= analysis.agg_or_sort_columns
-    return targets
+        for tname, cname in analysis.agg_or_sort_columns:
+            column = schema.table(tname).column(cname)
+            if column.is_primary_key or schema.is_foreign_key_endpoint(tname, cname):
+                continue
+            if column.declared_type in (ColumnType.INTEGER, ColumnType.REAL):
+                keep.add((tname, cname))
+    return keep
 
 
-def prune_schema(db: DatabaseInstance, candidate_sqls: list[str]) -> DatabaseInstance:
-    """Drop tables and columns no candidate references.
+def prune_schema(
+    db: DatabaseInstance, candidate_sqls: list[str]
+) -> tuple[DatabaseInstance, set[tuple[str, str]]]:
+    """Drop tables and columns no candidate reads; return the pruned instance
+    and the number-constraining targets on it.
 
     Columns that carry a foreign key between two retained tables survive even
     if unreferenced, so the pruned instance still satisfies its FKs. A
     retained table with no referenced columns keeps its primary key (or first
-    column). If nothing parses, the input is returned unchanged.
+    column). The candidates are analysed again on the pruned schema, and the
+    targets come from that pass. If nothing parses, or a candidate that
+    parsed no longer does (SQLite does not report the columns of a USING or
+    NATURAL join as read), the input is returned unchanged.
     """
     analyses, _warnings = analyze_all(candidate_sqls, db.schema)
     if not analyses:
         log.warning("no candidate SQL parsed; returning the instance unpruned")
-        return db
+        return db, set()
 
     schema = db.schema
     used_tables: set[str] = set()
     used_columns: set[tuple[str, str]] = set()
-    starred: set[str] = set()
     for analysis in analyses:
         used_tables |= analysis.tables
         used_columns |= analysis.columns
-        starred |= analysis.star_tables
 
     kept_tables = [t for t in schema.tables if t.name in used_tables]
     kept_names = {t.name.lower() for t in kept_tables}
@@ -360,8 +371,6 @@ def prune_schema(db: DatabaseInstance, candidate_sqls: list[str]) -> DatabaseIns
     for table in kept_tables:
         tkey = table.name.lower()
         wanted = {c.lower() for (t, c) in used_columns if t.lower() == tkey}
-        if table.name in starred:
-            wanted |= {c.name.lower() for c in table.columns}
         wanted |= {c for (t, c) in fk_keep if t == tkey}
         if not wanted:
             pk = table.primary_key()
@@ -377,6 +386,11 @@ def prune_schema(db: DatabaseInstance, candidate_sqls: list[str]) -> DatabaseIns
         ]
 
     new_schema = SchemaGraph(tables=tuple(new_tables), foreign_keys=tuple(kept_fks))
+    checked, _warnings = analyze_all([a.sql for a in analyses], new_schema)
+    if len(checked) < len(analyses):
+        log.warning("pruning broke a candidate; returning the instance unpruned")
+        return db, _numeric_targets(schema, analyses)
+
     data: dict[str, TableData] = {}
     for table in new_tables:
         source = db.data_for(table.name)
@@ -386,4 +400,4 @@ def prune_schema(db: DatabaseInstance, candidate_sqls: list[str]) -> DatabaseIns
             table.column_names(),
             tuple(tuple(row[i] for i in idxs) for row in source.rows),
         )
-    return DatabaseInstance(schema=new_schema, tables=data)
+    return DatabaseInstance(schema=new_schema, tables=data), _numeric_targets(new_schema, checked)

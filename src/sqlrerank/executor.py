@@ -11,7 +11,7 @@ from enum import Enum
 
 from .dbio import load_into_connection
 from .instance import DatabaseInstance
-from .sqlanalysis import has_top_level_order_by
+from .sqlanalysis import READ_ACTIONS, has_top_level_order_by
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -65,15 +65,8 @@ def _normalize_cell(value):
     return value
 
 
-# Statements a session authorizes after its load: reading only. PRAGMA
-# query_only is not enough, since a candidate can switch it off again.
-_READ_ACTIONS = frozenset(
-    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
-)
-
-
 def _authorize_read(action: int, *_args) -> int:
-    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
 
 
 class Session:

@@ -18,8 +18,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import requests
-
 from .errors import CacheIo, ParseFailure
 from .executor import DEFAULT_TIMEOUT, ExecutionResult, OutcomeKind, Session, execute
 from .instance import DatabaseInstance, instance_to_json
@@ -213,10 +211,16 @@ class RemoteOracle:
         self.backoff = backoff
         self.timeout = timeout
         self.api_key_env = api_key_env
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # here, not at module load: only this backend needs it
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def raw_reply(self, request: OracleRequest) -> str:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:

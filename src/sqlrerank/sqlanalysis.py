@@ -1,42 +1,59 @@
-"""Lightweight SQL analysis: referenced tables/columns, aggregates, ORDER BY.
+"""SQL analysis: what a statement reads, aggregates or sorts, and whether it
+orders its output.
 
-This is not a full SQL parser. It tokenizes a query, segments SELECT scopes
-(including subqueries and set operations), records FROM sources with their
-aliases, and extracts column references from the clause token runs. That is
-enough to answer the questions the generators ask: which tables and columns
-does a candidate touch, which columns feed aggregates or sorting, and does
-the top-level statement order its output.
-
-Column references resolve through the scope chain: a qualified reference
-looks up its alias (then table name) innermost-first; a bare reference binds
-to the first FROM-order source whose table has that column. Unresolvable
-references (derived-table columns, output aliases, typos) are skipped, not
-errors: analysis is best-effort over model-written SQL.
+SQLite resolves the names: a statement is compiled as `EXPLAIN <sql>` on an
+empty copy of the schema while the authorizer records each (table, column)
+read, after SQLite has resolved aliases, scopes, CTEs, derived tables and
+`*`. SQL that SQLite rejects, or that the executor would refuse, is
+skipped. A small token pass finds the identifiers in aggregate calls and
+ORDER BY items and matches them by column name against the reads.
 """
 from __future__ import annotations
 
 import logging
 import re
+import sqlite3
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .dbio import create_table_sql
 from .errors import SqlParseError
 from .schema import SchemaGraph
 
 log = logging.getLogger(__name__)
 
+# All a reading statement needs authorized. The executor allows only these
+# after its load (PRAGMA query_only can be switched off again by a
+# candidate), and the analysis denies the rest, so both refuse alike.
+READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "ident", "string", "number", "punct"
     text: str
     value: str
     pos: int
 
 
-_WS = re.compile(r"\s+")
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_BARE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_PUNCT = re.compile(r"<>|<=|>=|!=|==|\|\||[-+*/%(),.;=<>|]")
+# Alternatives are tried in order at each offset; the last two catch an
+# opener whose closer never comes and any other character.
+_TOKEN = re.compile(
+    r"""
+    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    | (?P<string>'[^']*(?:''[^']*)*')
+    | (?P<quoted>"[^"]*(?:""[^"]*)*"|`[^`]*(?:``[^`]*)*`)
+    | (?P<bracket>\[[^\]]*\])
+    | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<ident>[^\W\d][\w$]*)
+    | (?P<unterminated>/\*|['"`\[])
+    | (?P<punct><>|<=|>=|!=|==|\|\||<<|>>|[-+*/%(),.;=<>|&~])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 _KEYWORDS = frozenset(
     """select from where group by having order limit offset join inner left
@@ -48,522 +65,202 @@ _KEYWORDS = frozenset(
 
 _AGGREGATES = frozenset({"count", "sum", "avg", "min", "max", "total"})
 
-_SET_OPS = frozenset({"union", "intersect", "except"})
-_CLAUSE_WORDS = frozenset({"from", "where", "group", "having", "order", "limit"})
-_JOIN_WORDS = frozenset({"join", "inner", "left", "right", "full", "outer", "cross", "natural"})
+# Words that end a select list, and an ORDER BY list, at their own depth.
+_SELECT_LIST_END = frozenset(
+    "from where group having window order limit union intersect except".split())
+_ORDER_LIST_END = frozenset({"limit", "rows", "range", "groups"})
 
 
 def tokenize(sql: str) -> list[Token]:
     """Split SQL text into tokens. Raises SqlParseError on malformed input."""
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        m = _WS.match(sql, i)
-        if m:
-            i = m.end()
+    for m in _TOKEN.finditer(sql):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
             continue
-        if sql.startswith("--", i):
-            j = sql.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if sql.startswith("/*", i):
-            j = sql.find("*/", i + 2)
-            if j < 0:
-                raise SqlParseError(f"unterminated block comment at offset {i}")
-            i = j + 2
-            continue
-        if ch == "'":
-            value, j = _scan_quoted(sql, i, "'")
-            tokens.append(Token("string", sql[i:j], value, i))
-            i = j
-            continue
-        if ch in ('"', "`"):
-            value, j = _scan_quoted(sql, i, ch)
-            tokens.append(Token("ident", sql[i:j], value, i))
-            i = j
-            continue
-        if ch == "[":
-            j = sql.find("]", i + 1)
-            if j < 0:
-                raise SqlParseError(f"unterminated bracketed identifier at offset {i}")
-            tokens.append(Token("ident", sql[i : j + 1], sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        m = _NUMBER.match(sql, i)
-        if m and (ch.isdigit() or ch == "."):
-            # A lone "." is punctuation, not a number.
-            if m.end() > i and m.group() != ".":
-                tokens.append(Token("number", m.group(), m.group(), i))
-                i = m.end()
-                continue
-        m = _BARE_IDENT.match(sql, i)
-        if m:
-            tokens.append(Token("ident", m.group(), m.group(), i))
-            i = m.end()
-            continue
-        m = _PUNCT.match(sql, i)
-        if m:
-            tokens.append(Token("punct", m.group(), m.group(), i))
-            i = m.end()
-            continue
-        raise SqlParseError(f"unexpected character {ch!r} at offset {i}")
+        if kind in ("ident", "number", "punct"):
+            tokens.append(Token(kind, text, text, pos))
+        elif kind == "string":
+            tokens.append(Token("string", text, text[1:-1].replace("''", "'"), pos))
+        elif kind == "quoted":
+            tokens.append(Token("ident", text, text[1:-1].replace(text[0] * 2, text[0]), pos))
+        elif kind == "bracket":
+            tokens.append(Token("ident", text, text[1:-1], pos))
+        elif kind == "unterminated":
+            raise SqlParseError(f"unterminated {text} at offset {pos}")
+        else:
+            raise SqlParseError(f"unexpected character {text!r} at offset {pos}")
     return tokens
 
 
-def _scan_quoted(sql: str, start: int, quote: str) -> tuple[str, int]:
-    buf: list[str] = []
-    j = start + 1
-    n = len(sql)
-    while True:
-        if j >= n:
-            raise SqlParseError(f"unterminated {quote} literal at offset {start}")
-        if sql[j] == quote:
-            if j + 1 < n and sql[j + 1] == quote:
-                buf.append(quote)
-                j += 2
-                continue
-            return "".join(buf), j + 1
-        buf.append(sql[j])
-        j += 1
+def _is_word(tok: Token, words: frozenset[str] | set[str]) -> bool:
+    return tok.kind == "ident" and tok.value.lower() in words
 
 
-class _Source:
-    __slots__ = ("alias", "table")
-
-    def __init__(self, alias: str | None, table: str | None):
-        self.alias = alias  # lowercased qualifier, or None
-        self.table = table  # raw table name, or None for derived tables
-
-
-class _Scope:
-    __slots__ = ("parent", "sources", "select_items", "clause_runs", "order_runs", "stars")
-
-    def __init__(self, parent: "_Scope | None"):
-        self.parent = parent
-        self.sources: list[_Source] = []
-        self.select_items: list[tuple[str | None, list[Token]]] = []
-        self.clause_runs: list[list[Token]] = []
-        self.order_runs: list[list[Token]] = []
-        self.stars: list[str | None] = []
-
-
-def _is_word(tok: Token | None, words: frozenset[str] | set[str]) -> bool:
-    return tok is not None and tok.kind == "ident" and tok.value.lower() in words
-
-
-def _parse_query(tokens: list[Token], i: int, parent: _Scope | None, scopes: list[_Scope]) -> int:
-    _scope, i = _parse_select_core(tokens, i, parent, scopes)
-    while i < len(tokens) and _is_word(tokens[i], _SET_OPS):
-        i += 1
-        if i < len(tokens) and _is_word(tokens[i], {"all", "distinct"}):
-            i += 1
-        _scope, i = _parse_select_core(tokens, i, parent, scopes)
-    return i
-
-
-def _parse_select_core(
-    tokens: list[Token], i: int, parent: _Scope | None, scopes: list[_Scope]
-) -> tuple[_Scope, int]:
-    n = len(tokens)
-    if i >= n or not _is_word(tokens[i], {"select"}):
-        found = tokens[i].text if i < n else "end of input"
-        raise SqlParseError(f"expected SELECT, found {found!r}")
-    scope = _Scope(parent)
-    scopes.append(scope)
-    i += 1
-    if i < n and _is_word(tokens[i], {"distinct", "all"}):
-        i += 1
-
-    run, i = _collect(tokens, i, scope, scopes, _CLAUSE_WORDS | _SET_OPS)
-    _read_select_list(run, scope)
-
-    if i < n and _is_word(tokens[i], {"from"}):
-        i = _parse_from(tokens, i + 1, scope, scopes)
-
+def _names(run: list[Token]) -> Iterator[tuple[str | None, str]]:
+    """(qualifier, name) of each column-like identifier in a token run."""
+    i, n = 0, len(run)
     while i < n:
-        tok = tokens[i]
-        if tok.kind == "punct" and tok.text == ")":
-            break
-        if tok.kind != "ident":
-            raise SqlParseError(f"unexpected token {tok.text!r} at offset {tok.pos}")
-        word = tok.value.lower()
-        if word in _SET_OPS:
-            break
-        if word == "where":
-            run, i = _collect(tokens, i + 1, scope, scopes, {"group", "having", "order", "limit"} | _SET_OPS)
-            scope.clause_runs.append(run)
-        elif word == "group":
-            i += 1
-            if i < n and _is_word(tokens[i], {"by"}):
-                i += 1
-            run, i = _collect(tokens, i, scope, scopes, {"having", "order", "limit"} | _SET_OPS)
-            scope.clause_runs.append(run)
-        elif word == "having":
-            run, i = _collect(tokens, i + 1, scope, scopes, {"order", "limit"} | _SET_OPS)
-            scope.clause_runs.append(run)
-        elif word == "order":
-            i += 1
-            if i < n and _is_word(tokens[i], {"by"}):
-                i += 1
-            run, i = _collect(tokens, i, scope, scopes, {"limit"} | _SET_OPS)
-            for item in _split_commas(run):
-                while item and _is_word(item[-1], {"asc", "desc"}):
-                    item = item[:-1]
-                if item:
-                    scope.order_runs.append(item)
-        elif word == "limit":
-            _run, i = _collect(tokens, i + 1, scope, scopes, _SET_OPS)
-        else:
-            raise SqlParseError(f"unexpected token {tok.text!r} at offset {tok.pos}")
-    return scope, i
-
-
-def _collect(
-    tokens: list[Token],
-    i: int,
-    scope: _Scope,
-    scopes: list[_Scope],
-    stop_words: frozenset[str] | set[str],
-    stop_comma: bool = False,
-) -> tuple[list[Token], int]:
-    """Gather expression tokens until a depth-0 stop keyword, ')' or end.
-
-    Subqueries are parsed into their own scopes and omitted from the run.
-    """
-    run: list[Token] = []
-    depth = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind == "punct":
-            if tok.text == "(":
-                nxt = tokens[i + 1] if i + 1 < n else None
-                if _is_word(nxt, {"select"}):
-                    j = _parse_query(tokens, i + 1, scope, scopes)
-                    if j >= n or tokens[j].text != ")":
-                        raise SqlParseError("unterminated subquery")
-                    i = j + 1
-                    continue
-                depth += 1
-                run.append(tok)
-                i += 1
-                continue
-            if tok.text == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-                run.append(tok)
-                i += 1
-                continue
-            if tok.text == "," and depth == 0 and stop_comma:
-                break
-            run.append(tok)
-            i += 1
+        tok, nxt = run[i], (run[i + 1].text if i + 1 < n else "")
+        i += 1
+        if tok.kind != "ident" or nxt == "(":
             continue
-        if tok.kind == "ident" and depth == 0 and tok.value.lower() in stop_words:
+        if nxt == ".":
+            if i + 1 < n and run[i + 1].kind == "ident":
+                yield tok.value, run[i + 1].value
+            i += 2
+        elif tok.value.lower() not in _KEYWORDS:
+            yield None, tok.value
+
+
+def _items(
+    tokens: list[Token], start: int, closes: dict[int, int], end_words: frozenset[str]
+) -> list[list[Token]]:
+    """The comma-separated items from `start` to the first ")", ";" or word
+    of `end_words` outside the parentheses the items open."""
+    items: list[list[Token]] = [[]]
+    i, n = start, len(tokens)
+    while i < n:
+        tok = tokens[i]
+        if tok.text == "(":
+            end = closes.get(i, n - 1) + 1
+            items[-1].extend(tokens[i:end])
+            i = end
+            continue
+        if tok.text in (")", ";") or _is_word(tok, end_words):
             break
-        run.append(tok)
+        if tok.text == ",":
+            items.append([])
+        else:
+            items[-1].append(tok)
         i += 1
-    if depth != 0:
-        raise SqlParseError("unbalanced parentheses")
-    return run, i
-
-
-def _split_commas(run: list[Token]) -> list[list[Token]]:
-    items: list[list[Token]] = []
-    cur: list[Token] = []
-    depth = 0
-    for tok in run:
-        if tok.kind == "punct":
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            elif tok.text == "," and depth == 0:
-                items.append(cur)
-                cur = []
-                continue
-        cur.append(tok)
-    items.append(cur)
     return items
 
 
-def _read_select_list(run: list[Token], scope: _Scope) -> None:
-    for item in _split_commas(run):
-        if not item:
-            continue
-        if len(item) == 1 and item[0].kind == "punct" and item[0].text == "*":
-            scope.stars.append(None)
-            continue
-        if (
-            len(item) == 3
-            and item[0].kind == "ident"
-            and item[1].text == "."
-            and item[2].text == "*"
-        ):
-            scope.stars.append(item[0].value.lower())
-            continue
-        alias = None
-        expr = item
-        if (
-            len(item) >= 3
-            and _is_word(item[-2], {"as"})
-            and item[-1].kind == "ident"
-        ):
-            alias = item[-1].value.lower()
-            expr = item[:-2]
-        scope.select_items.append((alias, expr))
+def _deref(
+    tokens: list[Token], closes: dict[int, int], select: int | None, item: list[Token]
+) -> list[Token]:
+    """An ORDER BY item, or the select-list item its ordinal or alias names."""
+    if select is None or not item:
+        return item
+    if len(item) > 1 and not _is_word(item[1], {"asc", "desc", "nulls", "collate"}):
+        return item
+    head = item[0]
+    outputs = _items(tokens, select + 1, closes, _SELECT_LIST_END)
+    if head.text.isdigit() and len(head.text) < 10:  # longer is a REAL to SQLite
+        k = int(head.text)
+        return outputs[k - 1] if 1 <= k <= len(outputs) else []
+    alias = head.value.lower()
+    for out in outputs:
+        if len(out) >= 3 and _is_word(out[-2], {"as"}) and out[-1].value.lower() == alias:
+            return out[:-2]
+    return item
 
 
-_AFTER_TABLE_WORDS = (
-    _JOIN_WORDS | _CLAUSE_WORDS | _SET_OPS | {"on", "using", "as", "by"}
-)
-
-
-def _parse_from(tokens: list[Token], i: int, scope: _Scope, scopes: list[_Scope]) -> int:
-    n = len(tokens)
-    i = _parse_table_ref(tokens, i, scope, scopes)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind == "punct":
-            if tok.text == ",":
-                i = _parse_table_ref(tokens, i + 1, scope, scopes)
-                continue
-            if tok.text == ")":
-                break
-            raise SqlParseError(f"unexpected token {tok.text!r} in FROM clause")
-        word = tok.value.lower()
-        if word in _JOIN_WORDS:
-            while i < n and _is_word(tokens[i], _JOIN_WORDS):
-                i += 1
-            i = _parse_table_ref(tokens, i, scope, scopes)
-            continue
-        if word == "on":
-            run, i = _collect(
-                tokens, i + 1, scope, scopes,
-                _JOIN_WORDS | _CLAUSE_WORDS | _SET_OPS, stop_comma=True,
-            )
-            scope.clause_runs.append(run)
-            continue
-        if word == "using":
-            i += 1
-            if i < n and tokens[i].text == "(":
-                depth = 1
-                j = i + 1
-                inner: list[Token] = []
-                while j < n and depth:
-                    if tokens[j].text == "(":
-                        depth += 1
-                    elif tokens[j].text == ")":
-                        depth -= 1
-                    if depth:
-                        inner.append(tokens[j])
-                    j += 1
-                scope.clause_runs.append([t for t in inner if t.kind == "ident"])
-                i = j
-            continue
-        break
-    return i
-
-
-def _parse_table_ref(tokens: list[Token], i: int, scope: _Scope, scopes: list[_Scope]) -> int:
-    n = len(tokens)
-    if i >= n:
-        raise SqlParseError("dangling FROM clause")
-    tok = tokens[i]
-    if tok.kind == "punct" and tok.text == "(":
-        nxt = tokens[i + 1] if i + 1 < n else None
-        if _is_word(nxt, {"select"}):
-            j = _parse_query(tokens, i + 1, scope, scopes)
-            if j >= n or tokens[j].text != ")":
-                raise SqlParseError("unterminated derived table")
-            alias, j = _maybe_alias(tokens, j + 1)
-            scope.sources.append(_Source(alias=alias, table=None))
-            return j
-        i = _parse_from(tokens, i + 1, scope, scopes)
-        if i >= n or tokens[i].text != ")":
-            raise SqlParseError("unbalanced parentheses in FROM clause")
-        _alias, i = _maybe_alias(tokens, i + 1)
-        return i
-    if tok.kind != "ident" or tok.value.lower() in _AFTER_TABLE_WORDS:
-        raise SqlParseError(f"expected table name, found {tok.text!r}")
-    table = tok.value
-    alias, i = _maybe_alias(tokens, i + 1)
-    scope.sources.append(_Source(alias=alias or table.lower(), table=table))
-    return i
-
-
-def _maybe_alias(tokens: list[Token], i: int) -> tuple[str | None, int]:
-    n = len(tokens)
-    if i < n and _is_word(tokens[i], {"as"}):
-        if i + 1 < n and tokens[i + 1].kind == "ident":
-            return tokens[i + 1].value.lower(), i + 2
-        raise SqlParseError("AS without an alias name")
-    if (
-        i < n
-        and tokens[i].kind == "ident"
-        and tokens[i].value.lower() not in _AFTER_TABLE_WORDS
-        and tokens[i].value.lower() not in _KEYWORDS
-    ):
-        return tokens[i].value.lower(), i + 1
-    return None, i
-
-
-def _column_refs(tokens: list[Token], in_agg: bool = False) -> list[tuple[str | None, str, bool]]:
-    """Extract (qualifier, column, inside_aggregate) triples from a token run."""
-    refs: list[tuple[str | None, str, bool]] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind != "ident":
-            i += 1
-            continue
-        low = tok.value.lower()
-        nxt = tokens[i + 1] if i + 1 < n else None
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-            depth = 1
-            j = i + 2
-            while j < n and depth:
-                if tokens[j].text == "(":
-                    depth += 1
-                elif tokens[j].text == ")":
-                    depth -= 1
-                j += 1
-            inner = tokens[i + 2 : j - 1]
-            refs.extend(_column_refs(inner, in_agg=in_agg or low in _AGGREGATES))
-            i = j
-            continue
-        if low in _KEYWORDS:
-            i += 1
-            continue
-        if nxt is not None and nxt.kind == "punct" and nxt.text == ".":
-            after = tokens[i + 2] if i + 2 < n else None
-            if after is not None and after.kind == "ident":
-                refs.append((tok.value, after.value, in_agg))
-            i += 3
-            continue
-        refs.append((None, tok.value, in_agg))
-        i += 1
+def _agg_and_sort_refs(tokens: list[Token], words: list[str]) -> list[tuple[str | None, str]]:
+    """(qualifier, name) of each identifier inside an aggregate call or an
+    ORDER BY item; an ordinal or AS alias stands for its item in the SELECT."""
+    if "order" not in words and _AGGREGATES.isdisjoint(words):
+        return []
+    closes: dict[int, int] = {}
+    opens: list[int] = []
+    selects: list[int | None] = [None]  # the last SELECT at each paren depth
+    order_bys: list[tuple[int, int | None]] = []  # (first item token, owning SELECT)
+    for i, (tok, word) in enumerate(zip(tokens, words)):
+        if tok.text == "(":
+            opens.append(i)
+            selects.append(None)
+        elif tok.text == ")" and opens:
+            closes[opens.pop()] = i
+            selects.pop()
+        elif word == "select":
+            selects[-1] = i
+        elif word == "order" and words[i + 1 : i + 2] == ["by"]:
+            order_bys.append((i + 2, selects[-1]))
+    refs: list[tuple[str | None, str]] = []
+    for i, word in enumerate(words):
+        if word in _AGGREGATES and i + 1 in closes:
+            refs.extend(_names(tokens[i + 2 : closes[i + 1]]))
+    for start, select in order_bys:
+        for item in _items(tokens, start, closes, _ORDER_LIST_END):
+            refs.extend(_names(_deref(tokens, closes, select, item)))
     return refs
 
 
-def _resolve_source(scope: _Scope, qualifier: str) -> _Source | None:
-    q = qualifier.lower()
-    s: _Scope | None = scope
-    while s is not None:
-        for src in s.sources:
-            if src.alias == q:
-                return src
-        s = s.parent
-    s = scope
-    while s is not None:
-        for src in s.sources:
-            if src.table is not None and src.table.lower() == q:
-                return src
-        s = s.parent
-    return None
-
-
-def _resolve(
-    scope: _Scope, qualifier: str | None, name: str, schema: SchemaGraph
-) -> tuple[str, str] | None:
-    if qualifier is not None:
-        src = _resolve_source(scope, qualifier)
-        if src is None or src.table is None or not schema.has_table(src.table):
-            return None
-        table = schema.table(src.table)
-        if table.has_column(name):
-            return table.name, table.column(name).name
-        return None
-    s: _Scope | None = scope
-    while s is not None:
-        for src in s.sources:
-            if src.table is None or not schema.has_table(src.table):
-                continue
-            table = schema.table(src.table)
-            if table.has_column(name):
-                return table.name, table.column(name).name
-        s = s.parent
-    return None
-
-
-def _deref_order_item(scope: _Scope, item: list[Token]) -> list[Token]:
-    if len(item) == 1 and item[0].kind == "number" and item[0].text.isdigit():
-        k = int(item[0].text)
-        if 1 <= k <= len(scope.select_items):
-            return scope.select_items[k - 1][1]
-        return []
-    if len(item) == 1 and item[0].kind == "ident":
-        low = item[0].value.lower()
-        for alias, expr in scope.select_items:
-            if alias == low:
-                return expr
-    return item
+def _match(
+    refs: list[tuple[str | None, str]], columns: frozenset[tuple[str, str]], words: list[str]
+) -> frozenset[tuple[str, str]]:
+    """The columns read that a ref names: the same column name and, for
+    `q.c`, a table named q or a `<table> [AS] q` alias."""
+    names = {(w, w) for w in words} | set(zip(words, words[1:]))
+    names |= {(a, c) for a, b, c in zip(words, words[1:], words[2:]) if b == "as"}
+    return frozenset(
+        (table, column)
+        for qualifier, name in refs
+        for table, column in columns
+        if column.lower() == name.lower()
+        and (qualifier is None or (table.lower(), qualifier.lower()) in names)
+    )
 
 
 @dataclass(frozen=True)
 class SqlAnalysis:
-    """What one SQL statement touches, resolved against a schema."""
+    """What one SQL statement reads, as SQLite resolves it against a schema."""
 
+    sql: str
     tables: frozenset[str]
     columns: frozenset[tuple[str, str]]
-    star_tables: frozenset[str]
     agg_or_sort_columns: frozenset[tuple[str, str]]
-    has_top_level_order_by: bool
+
+
+def analyze_all(sqls: list[str], schema: SchemaGraph) -> tuple[list[SqlAnalysis], list[str]]:
+    """Analyze each SQL on one schema-only connection, skipping the ones
+    SQLite rejects or that do more than read. Returns (analyses, warnings)."""
+    analyses: list[SqlAnalysis] = []
+    warnings: list[str] = []
+    reads: set[tuple[str, str]] = set()
+    columns_of = {t.name: {c.name for c in t.columns} for t in schema.tables}
+
+    def authorize(action: int, arg1, arg2, *_rest) -> int:
+        if action == sqlite3.SQLITE_READ:
+            reads.add((arg1, arg2))
+        return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
+
+    # A statement served from the statement cache is not compiled again, so
+    # the authorizer would not see its reads.
+    conn = sqlite3.connect(":memory:", cached_statements=0)
+    try:
+        for table in schema.tables:
+            conn.execute(create_table_sql(table, schema))
+        conn.set_authorizer(authorize)
+        for i, sql in enumerate(sqls):
+            reads.clear()
+            try:
+                conn.execute("EXPLAIN " + sql)
+                tokens = tokenize(sql)
+            except (sqlite3.Error, sqlite3.Warning, ValueError, SqlParseError) as exc:
+                warnings.append(f"candidate {i} skipped: {exc}")
+                log.warning("%s", warnings[-1])
+                continue
+            # Reads of sqlite_master, or of a rowid, name no column of the schema.
+            columns = frozenset((t, c) for t, c in reads if c in columns_of.get(t, ()))
+            tables = frozenset(t for t, _c in reads if t in columns_of)
+            words = [t.value.lower() if t.kind == "ident" else "" for t in tokens]
+            refs = _agg_and_sort_refs(tokens, words)
+            agg_or_sort = _match(refs, columns, words) if refs else frozenset()
+            analyses.append(SqlAnalysis(sql, tables, columns, agg_or_sort))
+    finally:
+        conn.close()
+    return analyses, warnings
 
 
 def analyze(sql: str, schema: SchemaGraph) -> SqlAnalysis:
-    """Analyze one SQL statement. Raises SqlParseError on malformed SQL."""
-    tokens = [t for t in tokenize(sql) if not (t.kind == "punct" and t.text == ";")]
-    if not tokens:
-        raise SqlParseError("empty SQL text")
-    scopes: list[_Scope] = []
-    end = _parse_query(tokens, 0, None, scopes)
-    if end != len(tokens):
-        raise SqlParseError(f"unexpected trailing token {tokens[end].text!r}")
-
-    tables: set[str] = set()
-    columns: set[tuple[str, str]] = set()
-    star_tables: set[str] = set()
-    agg_or_sort: set[tuple[str, str]] = set()
-
-    for scope in scopes:
-        for src in scope.sources:
-            if src.table is not None and schema.has_table(src.table):
-                tables.add(schema.table(src.table).name)
-        runs = [expr for _alias, expr in scope.select_items] + scope.clause_runs
-        for run in runs:
-            for qualifier, name, in_agg in _column_refs(run):
-                resolved = _resolve(scope, qualifier, name, schema)
-                if resolved is not None:
-                    columns.add(resolved)
-                    if in_agg:
-                        agg_or_sort.add(resolved)
-        for item in scope.order_runs:
-            for qualifier, name, _in_agg in _column_refs(_deref_order_item(scope, item)):
-                resolved = _resolve(scope, qualifier, name, schema)
-                if resolved is not None:
-                    columns.add(resolved)
-                    agg_or_sort.add(resolved)
-        for qualifier in scope.stars:
-            if qualifier is None:
-                for src in scope.sources:
-                    if src.table is not None and schema.has_table(src.table):
-                        star_tables.add(schema.table(src.table).name)
-            else:
-                src = _resolve_source(scope, qualifier)
-                if src is not None and src.table is not None and schema.has_table(src.table):
-                    star_tables.add(schema.table(src.table).name)
-
-    return SqlAnalysis(
-        tables=frozenset(tables),
-        columns=frozenset(columns),
-        star_tables=frozenset(star_tables),
-        agg_or_sort_columns=frozenset(agg_or_sort),
-        has_top_level_order_by=has_top_level_order_by_tokens(tokens),
-    )
+    """Analyze one SQL statement. Raises SqlParseError where `analyze_all`
+    would skip it."""
+    analyses, warnings = analyze_all([sql], schema)
+    if warnings:
+        raise SqlParseError(warnings[0])
+    return analyses[0]
 
 
 def has_top_level_order_by(sql: str) -> bool:
@@ -572,40 +269,12 @@ def has_top_level_order_by(sql: str) -> bool:
         tokens = tokenize(sql)
     except SqlParseError:
         return False
-    return has_top_level_order_by_tokens(tokens)
-
-
-def has_top_level_order_by_tokens(tokens: list[Token]) -> bool:
     depth = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind == "punct":
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            continue
-        if (
-            depth == 0
-            and tok.kind == "ident"
-            and tok.value.lower() == "order"
-            and i + 1 < len(tokens)
-            and _is_word(tokens[i + 1], {"by"})
-        ):
+    for tok, nxt in zip(tokens, tokens[1:]):
+        if tok.text == "(":
+            depth += 1
+        elif tok.text == ")":
+            depth -= 1
+        elif depth == 0 and _is_word(tok, {"order"}) and _is_word(nxt, {"by"}):
             return True
     return False
-
-
-def analyze_all(
-    sqls: list[str], schema: SchemaGraph
-) -> tuple[list[SqlAnalysis], list[str]]:
-    """Analyze each SQL, skipping unparsable ones. Returns (analyses, warnings)."""
-    analyses: list[SqlAnalysis] = []
-    warnings: list[str] = []
-    for i, sql in enumerate(sqls):
-        try:
-            analyses.append(analyze(sql, schema))
-        except SqlParseError as exc:
-            message = f"candidate {i} skipped: {exc}"
-            warnings.append(message)
-            log.warning("%s", message)
-    return analyses, warnings

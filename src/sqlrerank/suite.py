@@ -18,7 +18,6 @@ from .dbgen import (
     GenConfig,
     GenMethod,
     constrain_numbers,
-    extract_target_columns,
     fuzz_database,
     prune_schema,
     sample_database,
@@ -38,7 +37,6 @@ from .executor import (
 from .instance import DatabaseInstance, instance_from_json, instance_to_json
 from .oracle import build_request
 from .promptgen import PromptConfig
-from .schema import ColumnType
 
 ClassificationSignature = tuple[str, ...]
 
@@ -147,29 +145,6 @@ def _pairwise_distinguished(signatures: list[ClassificationSignature], n_reps: i
     return True
 
 
-def _numeric_targets(
-    db: DatabaseInstance, sqls: list[str]
-) -> set[tuple[str, str]]:
-    """Aggregation/sort columns eligible for number constraining.
-
-    Foreign-key endpoints are excluded (constraining them would break
-    referential validity), so are primary-key columns (values drawn from a
-    small range would collide and the instance would not load) and so are
-    non-numeric columns.
-    """
-    targets = extract_target_columns(sqls, db.schema)
-    keep: set[tuple[str, str]] = set()
-    for tname, cname in targets:
-        if db.schema.is_foreign_key_endpoint(tname, cname):
-            continue
-        column = db.schema.table(tname).column(cname)
-        if column.is_primary_key:
-            continue
-        if column.declared_type in (ColumnType.INTEGER, ColumnType.REAL):
-            keep.add((tname, cname))
-    return keep
-
-
 def generate_suite(
     original_db: DatabaseInstance,
     question: str,
@@ -197,8 +172,7 @@ def generate_suite(
         return TestSuite()
     sqls = all_sqls if all_sqls is not None else [r.sql for r in representatives]
 
-    pruned = prune_schema(original_db, sqls)
-    targets = _numeric_targets(pruned, sqls)
+    pruned, targets = prune_schema(original_db, sqls)
 
     master = random.Random(config.gen.seed)
     kept_cases: list[TestCase] = []

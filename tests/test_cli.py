@@ -254,6 +254,34 @@ def test_rerank_exact_mode(workdir):
     assert json.loads(out.read_text())["ranked"][0]["sql"] == GOLD_MIN
 
 
+def test_rerank_comparison_flag_overrides_config(workdir, student_instance):
+    from sqlrerank.executor import execute
+    from sqlrerank.suite import TestCase, TestSuite, suite_to_json
+
+    # The suite expects (age, name); the top-ranked candidate returns (name, age),
+    # which passes only the relaxed comparison.
+    expected = execute(student_instance, "SELECT age, name FROM student").result
+    suite_path = workdir / "suite.json"
+    suite = TestSuite(cases=(TestCase(student_instance, expected),))
+    suite_path.write_text(json.dumps(suite_to_json(suite)))
+    cands = workdir / "swapped.json"
+    cands.write_text(json.dumps([
+        {"sql": "SELECT name, age FROM student", "rank": 0, "probability": 0.9},
+        {"sql": "SELECT age, name FROM student", "rank": 1, "probability": 0.1},
+    ]))
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"comparison": "exact"}))
+    out = workdir / "outcome.json"
+
+    def top1(*flags):
+        args = ("rerank", "--suite", suite_path, "--candidates-file", cands, "--out", out)
+        assert run_cli(*args, "--config", config, *flags) == 0
+        return json.loads(out.read_text())["ranked"][0]["sql"]
+
+    assert top1() == "SELECT age, name FROM student"
+    assert top1("--comparison", "relaxed") == "SELECT name, age FROM student"
+
+
 # --- eval ----------------------------------------------------------------------------
 
 
@@ -326,6 +354,29 @@ def test_eval_workers_config(workdir, capsys):
     )
     assert code == 0
     assert "EX before=0.000 after=0.500" in capsys.readouterr().out
+
+
+def test_eval_reads_the_reply_cache_once(workdir, monkeypatch):
+    import sqlrerank.cli
+
+    built = []
+
+    class CountingCache(sqlrerank.cli.ReplyCache):
+        def __init__(self, path):
+            built.append(path)
+            super().__init__(path)
+
+    monkeypatch.setattr(sqlrerank.cli, "ReplyCache", CountingCache)
+    manifest = make_corpus(workdir)
+    report_path = workdir / "report.json"
+    code = run_cli(
+        "eval", "--corpus", manifest, "--oracle", "replay", "--cache", workdir / "cache.jsonl",
+        "--gate", "none", "--report", report_path,
+    )
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert sum(not row["gated_out"] for row in payload["entries"]) == 2
+    assert len(built) == 1
 
 
 # --- config plumbing --------------------------------------------------------------------

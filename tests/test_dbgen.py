@@ -6,7 +6,6 @@ from sqlrerank.dbgen import (
     GenConfig,
     GenMethod,
     constrain_numbers,
-    extract_target_columns,
     fuzz_database,
     generate_database,
     prune_schema,
@@ -14,6 +13,7 @@ from sqlrerank.dbgen import (
 )
 from sqlrerank.dbio import load_into_connection
 from sqlrerank.errors import MalformedDatabase, TargetIsForeignKey, UnknownColumn
+from sqlrerank.executor import OutcomeKind, execute
 from sqlrerank.instance import foreign_key_violations
 from sqlrerank.schema import ColumnType, ForeignKey, SchemaGraph, Table
 
@@ -322,33 +322,33 @@ def test_constrain_deterministic(student_instance):
 # --- target extraction -----------------------------------------------------------
 
 
-def test_extract_target_columns(student_schema):
-    targets = extract_target_columns(
+def test_extract_target_columns(student_instance):
+    _pruned, targets = prune_schema(
+        student_instance,
         [
             "SELECT max(age) FROM student",
             "SELECT grade FROM enrollment ORDER BY grade",
             "SELECT 'not even close",
         ],
-        student_schema,
     )
     assert targets == {("student", "age"), ("enrollment", "grade")}
 
 
-def test_extract_target_columns_empty(student_schema):
-    assert extract_target_columns(["SELECT name FROM student"], student_schema) == set()
+def test_extract_target_columns_empty(student_instance):
+    assert prune_schema(student_instance, ["SELECT name FROM student"])[1] == set()
 
 
 # --- schema pruning ----------------------------------------------------------------
 
 
 def test_prune_drops_unused_table(chain_instance):
-    out = prune_schema(chain_instance, ["SELECT pval FROM parent"])
+    out, _targets = prune_schema(chain_instance, ["SELECT pval FROM parent"])
     assert out.schema.table_names() == ("parent",)
     assert out.data_for("parent").columns == ("pval",)
 
 
 def test_prune_keeps_fk_bridge_columns(student_instance):
-    out = prune_schema(
+    out, _targets = prune_schema(
         student_instance,
         ["SELECT name FROM student JOIN enrollment ON student.student_id = enrollment.student_id"],
     )
@@ -362,30 +362,32 @@ def test_prune_keeps_fk_bridge_columns(student_instance):
 
 
 def test_prune_drops_fk_to_dropped_table(student_instance):
-    out = prune_schema(student_instance, ["SELECT grade FROM enrollment"])
+    out, _targets = prune_schema(student_instance, ["SELECT grade FROM enrollment"])
     assert out.schema.table_names() == ("enrollment",)
     assert out.schema.foreign_keys == ()
     assert out.data_for("enrollment").columns == ("grade",)
 
 
 def test_prune_star_keeps_all_columns(student_instance):
-    out = prune_schema(student_instance, ["SELECT * FROM student"])
+    out, _targets = prune_schema(student_instance, ["SELECT * FROM student"])
     assert out.data_for("student").columns == ("student_id", "name", "age")
 
 
 def test_prune_unparsable_returns_input(student_instance):
-    assert prune_schema(student_instance, ["SELECT 'broken"]) is student_instance
+    out, targets = prune_schema(student_instance, ["SELECT 'broken"])
+    assert out is student_instance
+    assert targets == set()
 
 
 def test_prune_table_with_no_columns_keeps_pk(student_instance):
-    out = prune_schema(student_instance, ["SELECT count(*) FROM student"])
+    out, _targets = prune_schema(student_instance, ["SELECT count(*) FROM student"])
     assert out.schema.table_names() == ("student",)
     assert out.data_for("student").columns == ("student_id",)
     assert out.data_for("student").rows == ((1,), (2,), (3,), (4,))
 
 
 def test_prune_composite_pk_partially_dropped(junction_instance):
-    out = prune_schema(junction_instance, ["SELECT lid FROM link"])
+    out, _targets = prune_schema(junction_instance, ["SELECT lid FROM link"])
     assert out.schema.table_names() == ("link",)
     link = out.schema.table("link")
     assert link.column_names() == ("lid",)
@@ -396,7 +398,7 @@ def test_prune_composite_pk_partially_dropped(junction_instance):
 
 def test_prune_preserves_query_results(student_instance):
     sql = "SELECT max(grade) FROM enrollment"
-    pruned = prune_schema(student_instance, [sql])
+    pruned, _targets = prune_schema(student_instance, [sql])
 
     def run(inst):
         conn = sqlite3.connect(":memory:")
@@ -413,7 +415,7 @@ def test_prune_preserves_join_results(chain_instance):
         "SELECT parent.pval, count(*) FROM parent"
         " JOIN child ON parent.pid = child.pid GROUP BY parent.pid"
     )
-    pruned = prune_schema(chain_instance, [sql])
+    pruned, _targets = prune_schema(chain_instance, [sql])
     assert "grandchild" not in pruned.schema.table_names()
 
     def run(inst):
@@ -424,3 +426,66 @@ def test_prune_preserves_join_results(chain_instance):
         return got
 
     assert sorted(run(pruned)) == sorted(run(chain_instance))
+
+
+@pytest.fixture
+def pair_instance():
+    """Two tables sharing a key column, with no foreign key between them."""
+    schema = SchemaGraph(
+        tables=(
+            Table("person", (col("pid", pk=True), col("name", ColumnType.TEXT), col("age"))),
+            Table("badge", (col("pid", pk=True), col("level"))),
+        ),
+    )
+    return make_instance(
+        schema, {"person": [(1, "ann", 30), (2, "bob", 40)], "badge": [(1, 3), (3, 5)]}
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture,sql",
+    [
+        ("student_instance", "SELECT s.name, e.grade FROM student s JOIN enrollment e"
+         " ON s.student_id = e.student_id"),
+        ("student_instance", "SELECT name, grade FROM student, enrollment"
+         " WHERE student.student_id = enrollment.student_id"),
+        ("pair_instance", "SELECT name FROM person JOIN badge USING (pid)"),
+        ("pair_instance", "SELECT name, level FROM person NATURAL JOIN badge"),
+        ("pair_instance", "SELECT name FROM person LEFT JOIN badge USING (pid)"),
+        ("student_instance", "WITH s AS (SELECT age FROM student WHERE age > 20)"
+         " SELECT max(age) FROM s"),
+        ("student_instance", "WITH RECURSIVE n(k) AS (SELECT 1 UNION ALL SELECT k + 1 FROM n"
+         " WHERE k < 3) SELECT name FROM student WHERE student_id IN (SELECT k FROM n)"),
+        ("student_instance", "WITH g(sid, total) AS (SELECT student_id, sum(grade)"
+         " FROM enrollment GROUP BY student_id)"
+         " SELECT name, total FROM student JOIN g ON g.sid = student.student_id"),
+        ("student_instance", "SELECT name FROM student s WHERE s.age >"
+         " (SELECT avg(e.grade) FROM enrollment e WHERE e.student_id = s.student_id)"),
+        ("student_instance", "SELECT t.a FROM (SELECT age AS a FROM student) t ORDER BY t.a"),
+        ("student_instance", "SELECT * FROM enrollment"),
+        ("student_instance", "SELECT s.* FROM student s JOIN enrollment e"
+         " ON e.student_id = s.student_id"),
+        ("student_instance", "SELECT name, rank() OVER (ORDER BY age DESC) FROM student"),
+        ("student_instance", "SELECT name FROM student UNION SELECT grade FROM enrollment"
+         " ORDER BY 1"),
+    ],
+)
+def test_pruned_instance_runs_every_candidate(request, fixture, sql):
+    db = request.getfixturevalue(fixture)
+    # A second candidate reading one column makes pruning drop the rest.
+    other = f"SELECT count(*) FROM {db.schema.tables[0].name}"
+    assert execute(db, sql).kind is OutcomeKind.OK
+    pruned, _targets = prune_schema(db, [sql, other])
+    for query in (sql, other):
+        outcome = execute(pruned, query)
+        assert outcome.kind is OutcomeKind.OK, outcome.message
+
+
+def test_prune_keeps_and_targets_cte_aggregate(student_instance):
+    sqls = [
+        "WITH s AS (SELECT age FROM student) SELECT max(age) FROM s",
+        "SELECT name FROM student",
+    ]
+    pruned, targets = prune_schema(student_instance, sqls)
+    assert pruned.schema.table("student").column_names() == ("name", "age")
+    assert targets == {("student", "age")}

@@ -1,5 +1,8 @@
 import fcntl
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -156,6 +159,38 @@ def test_cache_put_waits_for_the_file_lock(tmp_path):
         assert path.read_text() == f"{good}\n{good[:9]}"
     writer.join()
     assert ReplyCache(str(path)).get("a") == "1"
+
+
+def test_one_cache_shared_by_threads_keeps_every_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"request_id": "k", "timestamp": 0, "reply": "r"})
+    path.write_text(f"{good}\n{good[:9]}")  # the first put cuts the torn line
+    cache = ReplyCache(str(path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [
+            threading.Thread(target=lambda w=w: [cache.put(f"{w}-{i}", str(i)) for i in range(25)])
+            for w in range(8)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(writer.is_alive() for writer in writers)
+    again = ReplyCache(str(path))
+    assert (len(again), again.torn_lines) == (1 + 8 * 25, 0)
+    assert all(again.get(f"{w}-{i}") == str(i) for w in range(8) for i in range(25))
+
+
+def test_import_leaves_requests_unloaded():
+    code = "import sys, sqlrerank.cli; print('requests' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cache_corrupt_middle_line_raises(tmp_path):

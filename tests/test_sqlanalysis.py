@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlrerank.dbgen import prune_schema
 from sqlrerank.errors import SqlParseError
+from sqlrerank.executor import OutcomeKind, execute
 from sqlrerank.sqlanalysis import (
     SqlAnalysis,
     analyze,
@@ -94,9 +96,8 @@ def test_plain_select(student_schema):
     a = analyze("SELECT name FROM student", student_schema)
     assert a.tables == frozenset({"student"})
     assert cols(a) == [("student", "name")]
-    assert a.star_tables == frozenset()
     assert aggs(a) == []
-    assert not a.has_top_level_order_by
+    assert not has_top_level_order_by("SELECT name FROM student")
 
 
 def test_join_with_aliases(student_schema):
@@ -140,13 +141,13 @@ def test_count_star_marks_nothing(student_schema):
     a = analyze("SELECT count(*) FROM enrollment", student_schema)
     assert a.tables == frozenset({"enrollment"})
     assert aggs(a) == []
-    assert a.star_tables == frozenset()
+    assert cols(a) == []
 
 
 def test_order_by_column(student_schema):
     a = analyze("SELECT name FROM student ORDER BY age DESC", student_schema)
     assert aggs(a) == [("student", "age")]
-    assert a.has_top_level_order_by
+    assert has_top_level_order_by("SELECT name FROM student ORDER BY age DESC")
 
 
 def test_order_by_positional(student_schema):
@@ -162,7 +163,7 @@ def test_order_by_output_alias(student_schema):
 def test_order_by_qualified(student_schema):
     a = analyze("SELECT * FROM student ORDER BY student.age", student_schema)
     assert aggs(a) == [("student", "age")]
-    assert a.star_tables == frozenset({"student"})
+    assert cols(a) == [("student", "age"), ("student", "name"), ("student", "student_id")]
 
 
 def test_group_by_column_is_not_sort_target(student_schema):
@@ -181,12 +182,14 @@ def test_having_aggregate(student_schema):
 
 def test_bare_star(student_schema):
     a = analyze("SELECT * FROM enrollment", student_schema)
-    assert a.star_tables == frozenset({"enrollment"})
+    assert cols(a) == [
+        ("enrollment", "grade"), ("enrollment", "row_id"), ("enrollment", "student_id")
+    ]
 
 
 def test_qualified_star(student_schema):
     a = analyze("SELECT s.* FROM student s, enrollment", student_schema)
-    assert a.star_tables == frozenset({"student"})
+    assert cols(a) == [("student", "age"), ("student", "name"), ("student", "student_id")]
     assert a.tables == frozenset({"student", "enrollment"})
 
 
@@ -227,7 +230,7 @@ def test_derived_table(student_schema):
 def test_inner_order_by_is_not_top_level(student_schema):
     sql = "SELECT name FROM (SELECT name, age FROM student ORDER BY age) t"
     a = analyze(sql, student_schema)
-    assert not a.has_top_level_order_by
+    assert not has_top_level_order_by(sql)
     # The inner sort column still counts as a sort target.
     assert ("student", "age") in a.agg_or_sort_columns
 
@@ -235,7 +238,7 @@ def test_inner_order_by_is_not_top_level(student_schema):
 def test_union_order_by_is_top_level(student_schema):
     sql = "SELECT name FROM student UNION SELECT grade FROM enrollment ORDER BY 1"
     a = analyze(sql, student_schema)
-    assert a.has_top_level_order_by
+    assert has_top_level_order_by(sql)
     assert a.tables == frozenset({"student", "enrollment"})
     # Positional deref happens in the core that owns the ORDER BY tail.
     assert ("enrollment", "grade") in a.agg_or_sort_columns
@@ -250,10 +253,11 @@ def test_parenthesized_join(student_schema):
     assert a.tables == frozenset({"student", "enrollment"})
 
 
-def test_using_join(student_schema):
-    a = analyze("SELECT name FROM student JOIN enrollment USING (student_id)", student_schema)
-    assert a.tables == frozenset({"student", "enrollment"})
-    assert ("student", "student_id") in a.columns
+def test_using_join(student_instance):
+    # SQLite reports no read of a USING column, so pruning must not drop it.
+    sql = "SELECT name FROM student JOIN enrollment USING (student_id)"
+    pruned, _targets = prune_schema(student_instance, [sql])
+    assert execute(pruned, sql).kind is OutcomeKind.OK
 
 
 def test_case_expression(student_schema):
@@ -264,15 +268,13 @@ def test_case_expression(student_schema):
 
 
 def test_unknown_column_ignored(student_schema):
-    a = analyze("SELECT ghost FROM student", student_schema)
-    assert a.tables == frozenset({"student"})
-    assert cols(a) == []
+    with pytest.raises(SqlParseError):
+        analyze("SELECT ghost FROM student", student_schema)
 
 
 def test_unknown_table_ignored(student_schema):
-    a = analyze("SELECT x FROM ghost_table", student_schema)
-    assert a.tables == frozenset()
-    assert cols(a) == []
+    with pytest.raises(SqlParseError):
+        analyze("SELECT x FROM ghost_table", student_schema)
 
 
 def test_semicolon_tolerated(student_schema):
@@ -309,6 +311,15 @@ def test_analyze_all_skips_bad(student_schema):
     assert len(analyses) == 2
     assert len(warnings) == 1
     assert "candidate 1" in warnings[0]
+
+
+def test_analyze_all_skips_statements_that_do_not_only_read(student_schema):
+    analyses, warnings = analyze_all(
+        ["DELETE FROM student", "PRAGMA table_info(student)", "SELECT age FROM student"],
+        student_schema,
+    )
+    assert [a.sql for a in analyses] == ["SELECT age FROM student"]
+    assert len(warnings) == 2
 
 
 # --- top-level ORDER BY scan ------------------------------------------------

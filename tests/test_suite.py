@@ -3,7 +3,7 @@ import json
 import pytest
 
 import sqlrerank.executor
-from sqlrerank.dbgen import GenConfig, GenMethod
+from sqlrerank.dbgen import GenConfig, GenMethod, prune_schema
 from sqlrerank.executor import ExecutionResult, OutcomeKind, Session, execute, results_equal
 from sqlrerank.instance import foreign_key_violations
 from sqlrerank.oracle import OraclePrediction, ReferenceOracle
@@ -14,7 +14,6 @@ from sqlrerank.suite import (
     SuiteConfig,
     TestCase,
     TestSuite,
-    _numeric_targets,
     classify_candidates,
     dump_json,
     generate_suite,
@@ -257,7 +256,7 @@ def test_primary_key_is_not_constrained(flat_instance):
         Candidate("SELECT name FROM stadium ORDER BY id LIMIT 2", source_rank=0),
         Candidate("SELECT name FROM stadium ORDER BY id DESC LIMIT 2", source_rank=1),
     ]
-    assert _numeric_targets(flat_instance, [r.sql for r in reps]) == set()
+    assert prune_schema(flat_instance, [r.sql for r in reps])[1] == set()
     oracle = RecordingOracle(inner=ReferenceOracle(reps[0].sql))
     for cfg in (pick_suite_cfg(max_test_cases=4), fuzz_suite_cfg(max_test_cases=4)):
         suite = generate_suite(flat_instance, "q", reps, cfg, oracle)
