@@ -11,6 +11,7 @@ from .dbgen import GenConfig, GenMethod, generate_database
 from .dbio import read_database, write_database
 from .errors import SqlRerankError
 from .evaluate import dump_report, evaluate_corpus, render_report_table
+from .executor import Session
 from .oracle import ReferenceOracle, RemoteOracle, ReplayOracle, ReplyCache
 from .promptgen import DbFormat, PromptConfig, load_example_pool
 from .suite import (
@@ -123,7 +124,8 @@ def _cmd_gen_suite(args) -> int:
     db = read_database(args.db)
     candidates = list(load_candidates_file(args.candidates_file))
     oracle = _build_oracle(args, _reply_cache(args))
-    classes, representatives = classify_candidates(db, candidates, suite_config.timeout)
+    with Session(db) as session:
+        classes, representatives = classify_candidates(session, candidates)
     if len(classes) <= 1:
         print("skipped: all candidates fall into one behavior class")
         payload = suite_to_json(TestSuite())
@@ -136,6 +138,7 @@ def _cmd_gen_suite(args) -> int:
             oracle,
             all_sqls=[c.sql for c in candidates],
         )
+        suite.close()
         payload = suite_to_json(suite)
         print(
             f"classes: {len(classes)}; cases kept: {len(suite.cases)};"
@@ -154,6 +157,7 @@ def _cmd_rerank(args) -> int:
         suite = suite_from_json(json.load(handle))
     candidates = list(load_candidates_file(args.candidates_file))
     outcome = rerank(candidates, suite, relaxed=relaxed)
+    suite.close()
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(dump_json(outcome_to_json(outcome)))
     before = candidates[0].sql

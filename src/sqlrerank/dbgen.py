@@ -23,6 +23,7 @@ from .schema import (
     ForeignKey,
     SchemaGraph,
     Table,
+    order_parents_first,
     reverse_topo_order,
     topo_order_parents_first,
 )
@@ -114,30 +115,15 @@ def _table_column_order(table: Table, self_fks: list[ForeignKey]) -> list[Column
     """Columns ordered so self-FK parent columns precede their child columns."""
     if not self_fks:
         return list(table.columns)
-    names = [c.name.lower() for c in table.columns]
-    dependents: dict[str, set[str]] = {n: set() for n in names}
-    indegree = {n: 0 for n in names}
-    edges = set()
-    for fk in self_fks:
-        edge = (fk.parent_column.lower(), fk.child_column.lower())
-        if edge[0] == edge[1] or edge in edges:
-            continue
-        edges.add(edge)
-        dependents[edge[0]].add(edge[1])
-        indegree[edge[1]] += 1
-    order: list[str] = []
-    remaining = list(names)
-    while remaining:
-        pick = next((n for n in remaining if indegree[n] == 0), None)
-        if pick is None:
-            raise CyclicForeignKeys(
-                f"self-referencing foreign keys in {table.name!r} form a column cycle"
-            )
-        remaining.remove(pick)
-        order.append(pick)
-        for dep in dependents[pick]:
-            indegree[dep] -= 1
     by_name = {c.name.lower(): c for c in table.columns}
+    order, cyclic = order_parents_first(
+        list(by_name),
+        [(fk.parent_column.lower(), fk.child_column.lower()) for fk in self_fks],
+    )
+    if cyclic:
+        raise CyclicForeignKeys(
+            f"self-referencing foreign keys in {table.name!r} form a column cycle"
+        )
     return [by_name[n] for n in order]
 
 

@@ -6,11 +6,7 @@ import sqlite3
 
 from .errors import FileUnreadable
 from .instance import DatabaseInstance, TableData
-from .schema import SchemaGraph, Table, introspect_schema, schema_from_connection
-
-
-def quote_ident(name: str) -> str:
-    return '"' + name.replace('"', '""') + '"'
+from .schema import SchemaGraph, Table, introspect_schema, quote_ident, schema_from_connection
 
 
 def sql_literal(value) -> str:

@@ -69,7 +69,7 @@ def evaluate_entry(
     # One session on the original database serves the gold run, both top-1
     # checks, the gate and the re-rank.
     with Session(db) as session:
-        gold_outcome = execute(session, entry.gold_sql, config.timeout)
+        gold_outcome = execute(session, entry.gold_sql)
         if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
             return EntryReport(
                 entry_id=entry.entry_id,
@@ -82,7 +82,7 @@ def evaluate_entry(
 
         def _correct(sql: str) -> bool:
             if sql not in verdicts:
-                outcome = execute(session, sql, config.timeout)
+                outcome = execute(session, sql)
                 verdicts[sql] = (
                     outcome.kind is OutcomeKind.OK
                     and outcome.result is not None

@@ -4,8 +4,6 @@ from __future__ import annotations
 import sqlite3
 import time
 from collections import Counter
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -13,6 +11,7 @@ from .dbio import load_into_connection
 from .instance import DatabaseInstance
 from .sqlanalysis import READ_ACTIONS, has_top_level_order_by
 
+# Seconds a statement may run before its outcome is a timeout.
 DEFAULT_TIMEOUT = 5.0
 
 # How often (in VM instructions) the progress handler checks the deadline.
@@ -70,22 +69,24 @@ def _authorize_read(action: int, *_args) -> int:
 
 
 class Session:
-    """A DatabaseInstance loaded once into a private, read-only connection.
+    """A DatabaseInstance loaded into a private, read-only connection.
 
     This is the one place that turns (instance, SQL) into an outcome. The
-    instance is loaded on the first statement; a load failure is the outcome
-    of every statement. After the load only reading statements are
-    authorized, so no statement can change what a later one sees. Outcomes
-    are memoized per (sql, timeout). A session belongs to the thread that
-    opened it. Run statements through `execute(session, sql, timeout)`.
+    instance is loaded on the first statement that is not memoized; a load
+    failure is the outcome of every statement. After the load only reading
+    statements are authorized, so no statement can change what a later one
+    sees. Each statement may run for DEFAULT_TIMEOUT seconds, read when it
+    starts, and outcomes are memoized per SQL text. `close` releases the
+    connection and keeps the memo, so a later new statement loads the
+    instance again. A loaded session belongs to the thread that loaded it.
+    Run statements through `execute(session, sql)`.
     """
 
     def __init__(self, db: DatabaseInstance):
         self.db = db
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
-        self._memo: dict[tuple[str, float], ExecutionOutcome] = {}
-        self._closed = False
+        self._memo: dict[str, ExecutionOutcome] = {}
 
     def __enter__(self) -> Session:
         return self
@@ -94,21 +95,16 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        self._closed = True
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
-    def run(self, sql: str, timeout: float = DEFAULT_TIMEOUT) -> ExecutionOutcome:
-        if self._closed:
-            raise ValueError("session is closed")
-        key = (sql, timeout)
-        outcome = self._memo.get(key)
-        if outcome is not None:
-            return outcome
-        conn = self._connection()
-        outcome = self._load_failure if conn is None else self._execute(conn, sql, timeout)
-        self._memo[key] = outcome
+    def run(self, sql: str) -> ExecutionOutcome:
+        outcome = self._memo.get(sql)
+        if outcome is None:
+            conn = self._connection()
+            outcome = self._load_failure if conn is None else self._execute(conn, sql)
+            self._memo[sql] = outcome
         return outcome
 
     def _connection(self) -> sqlite3.Connection | None:
@@ -124,8 +120,8 @@ class Session:
             self._conn = conn
         return self._conn
 
-    def _execute(self, conn: sqlite3.Connection, sql: str, timeout: float) -> ExecutionOutcome:
-        deadline = time.monotonic() + timeout
+    def _execute(self, conn: sqlite3.Connection, sql: str) -> ExecutionOutcome:
+        deadline = time.monotonic() + DEFAULT_TIMEOUT
         timed_out = False
 
         def _check() -> int:
@@ -154,25 +150,13 @@ class Session:
         )
 
 
-def execute(
-    db: DatabaseInstance | Session, sql: str, timeout: float = DEFAULT_TIMEOUT
-) -> ExecutionOutcome:
-    """Run one SQL statement on an open session, or on a one-shot session
-    over the instance."""
+def execute(db: DatabaseInstance | Session, sql: str) -> ExecutionOutcome:
+    """Run one SQL statement on a session, or on a one-shot session over the
+    instance."""
     if isinstance(db, Session):
-        return db.run(sql, timeout)
+        return db.run(sql)
     with Session(db) as session:
-        return session.run(sql, timeout)
-
-
-@contextmanager
-def session_for(db: DatabaseInstance | Session) -> Iterator[Session]:
-    """The open session itself, or a new session closed on exit."""
-    if isinstance(db, Session):
-        yield db
-    else:
-        with Session(db) as session:
-            yield session
+        return session.run(sql)
 
 
 def _canon(value):

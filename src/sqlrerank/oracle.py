@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CacheIo, ParseFailure
-from .executor import DEFAULT_TIMEOUT, ExecutionResult, OutcomeKind, Session, execute
+from .executor import ExecutionResult, OutcomeKind, Session, execute
 from .instance import DatabaseInstance, instance_to_json
 from .promptgen import Prompt, PromptConfig, build_prompt, parse_answer, render_answer
 
@@ -29,11 +29,14 @@ API_KEY_ENV = "SQLRERANK_API_KEY"
 @dataclass(frozen=True)
 class OracleRequest:
     prompt: Prompt
-    db: DatabaseInstance
+    # The session on the database asked about; backends run SQL through it.
+    session: Session = field(compare=False, repr=False)
     question: str
     request_id: str
-    # An open session on db, for backends that execute SQL on it.
-    session: Session | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def db(self) -> DatabaseInstance:
+        return self.session.db
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,13 @@ def request_id_for(db: DatabaseInstance, question: str, config: PromptConfig) ->
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_request(
-    db: DatabaseInstance | Session, question: str, config: PromptConfig
-) -> OracleRequest:
-    """A request about an instance, or about an open session's instance."""
-    session = db if isinstance(db, Session) else None
-    instance = db if session is None else session.db
+def build_request(session: Session, question: str, config: PromptConfig) -> OracleRequest:
+    """A request about the session's instance."""
     return OracleRequest(
-        prompt=build_prompt(instance, question, config),
-        db=instance,
-        question=question,
-        request_id=request_id_for(instance, question, config),
+        prompt=build_prompt(session.db, question, config),
         session=session,
+        question=question,
+        request_id=request_id_for(session.db, question, config),
     )
 
 
@@ -169,19 +167,18 @@ class ReferenceOracle:
 
     tag = "reference"
 
-    def __init__(self, gold_sql: str, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, gold_sql: str):
         self.gold_sql = gold_sql
-        self.timeout = timeout
 
     def predict(self, request: OracleRequest) -> OraclePrediction:
-        outcome = execute(request.session or request.db, self.gold_sql, self.timeout)
+        outcome = execute(request.session, self.gold_sql)
         if outcome.kind is not OutcomeKind.OK:
             return OraclePrediction.unavailable(f"gold-{outcome.kind.value}")
         assert outcome.result is not None
         return OraclePrediction.predicted(outcome.result)
 
     def raw_reply(self, request: OracleRequest) -> str:
-        outcome = execute(request.session or request.db, self.gold_sql, self.timeout)
+        outcome = execute(request.session, self.gold_sql)
         if outcome.kind is not OutcomeKind.OK or outcome.result is None:
             raise ParseFailure(f"gold SQL failed: {outcome.kind.value}")
         return render_answer(outcome.result)

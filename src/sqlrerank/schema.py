@@ -165,32 +165,43 @@ def topo_order_parents_first(schema: SchemaGraph) -> tuple[str, ...]:
     Self references are ignored. Ties break by declaration order, making the
     result deterministic. Raises CyclicForeignKeys on a cross-table cycle.
     """
-    names = [t.name for t in schema.tables]
-    key_of = {n.lower(): n for n in names}
-    # parent -> set of child table keys, ignoring self references
-    children: dict[str, set[str]] = {n.lower(): set() for n in names}
-    indegree = {n.lower(): 0 for n in names}
-    seen_edges = set()
-    for fk in schema.foreign_keys:
-        edge = (fk.parent_table.lower(), fk.child_table.lower())
-        if edge[0] == edge[1] or edge in seen_edges:
-            continue
-        seen_edges.add(edge)
-        children[edge[0]].add(edge[1])
-        indegree[edge[1]] += 1
+    key_of = {t.name.lower(): t.name for t in schema.tables}
+    order, cyclic = order_parents_first(
+        list(key_of),
+        [(fk.parent_table.lower(), fk.child_table.lower()) for fk in schema.foreign_keys],
+    )
+    if cyclic:
+        names = ", ".join(sorted(key_of[k] for k in cyclic))
+        raise CyclicForeignKeys(f"foreign keys form a cycle among tables: {names}")
+    return tuple(key_of[k] for k in order)
 
+
+def order_parents_first(
+    keys: list[str], edges: list[tuple[str, str]]
+) -> tuple[list[str], list[str]]:
+    """Order keys so the parent of every (parent, child) edge comes first.
+
+    Ties break by position in `keys`; self edges and repeated edges are
+    ignored. Returns the order and the keys left over on a cycle, which is
+    empty when there is none.
+    """
+    children: dict[str, set[str]] = {k: set() for k in keys}
+    indegree = dict.fromkeys(keys, 0)
+    for parent, child in set(edges):
+        if parent != child:
+            children[parent].add(child)
+            indegree[child] += 1
     order: list[str] = []
-    remaining = [n.lower() for n in names]
+    remaining = list(keys)
     while remaining:
         pick = next((k for k in remaining if indegree[k] == 0), None)
         if pick is None:
-            cyclic = sorted(key_of[k] for k in remaining)
-            raise CyclicForeignKeys(f"foreign keys form a cycle among tables: {', '.join(cyclic)}")
+            break
         remaining.remove(pick)
-        order.append(key_of[pick])
+        order.append(pick)
         for child in children[pick]:
             indegree[child] -= 1
-    return tuple(order)
+    return order, remaining
 
 
 def reverse_topo_order(schema: SchemaGraph) -> tuple[str, ...]:
@@ -232,7 +243,7 @@ def schema_from_connection(conn: sqlite3.Connection) -> SchemaGraph:
     for tname in table_names:
         cols: list[ColumnDef] = []
         for _, name, raw_type, _notnull, _default, pk in conn.execute(
-            f"PRAGMA table_info({_quote_ident(tname)})"
+            f"PRAGMA table_info({quote_ident(tname)})"
         ):
             cols.append(
                 ColumnDef(
@@ -249,7 +260,7 @@ def schema_from_connection(conn: sqlite3.Connection) -> SchemaGraph:
     by_name = {t.name.lower(): t for t in tables}
     for tname in table_names:
         for _id, _seq, parent, child_col, parent_col, *_rest in conn.execute(
-            f"PRAGMA foreign_key_list({_quote_ident(tname)})"
+            f"PRAGMA foreign_key_list({quote_ident(tname)})"
         ):
             parent_table = by_name.get(parent.lower())
             if parent_table is None:
@@ -286,5 +297,5 @@ def schema_from_connection(conn: sqlite3.Connection) -> SchemaGraph:
     return SchemaGraph(tables=tuple(tables), foreign_keys=tuple(fks))
 
 
-def _quote_ident(name: str) -> str:
+def quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'

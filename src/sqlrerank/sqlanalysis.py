@@ -10,6 +10,7 @@ ORDER BY items and matches them by column name against the reads.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import sqlite3
@@ -263,6 +264,9 @@ def analyze(sql: str, schema: SchemaGraph) -> SqlAnalysis:
     return analyses[0]
 
 
+# The flag depends on the SQL text alone, and every candidate is executed
+# on several instances, so each text is tokenized once.
+@functools.lru_cache(maxsize=4096)
 def has_top_level_order_by(sql: str) -> bool:
     """True if the statement itself (not a subquery) has an ORDER BY."""
     try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -23,7 +22,6 @@ from .dbgen import (
     sample_database,
 )
 from .executor import (
-    DEFAULT_TIMEOUT,
     ExecutionOutcome,
     ExecutionResult,
     OutcomeKind,
@@ -32,7 +30,6 @@ from .executor import (
     result_canonical_key,
     results_equal,
     results_equal_relaxed,
-    session_for,
 )
 from .instance import DatabaseInstance, instance_from_json, instance_to_json
 from .oracle import build_request
@@ -59,6 +56,12 @@ class TestCase:
     db: DatabaseInstance
     expected: ExecutionResult
     oracle_tag: str = ""
+    # The session that runs SQL on db; a lazily loading one when None is given.
+    session: Session = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.session is None:
+            object.__setattr__(self, "session", Session(self.db))
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class SuiteConfig:
     gen: GenConfig = field(default_factory=GenConfig)
     prompt: PromptConfig = field(default_factory=PromptConfig)
     relaxed: bool = True
-    timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self) -> None:
         if self.max_test_cases < 1:
@@ -82,6 +84,11 @@ class TestSuite:
     dropped_duplicate: int = 0
     dropped_unavailable: int = 0
     distinguished: bool = False
+
+    def close(self) -> None:
+        """Release the cases' sessions; a later new statement loads again."""
+        for case in self.cases:
+            case.session.close()
 
 
 @dataclass(frozen=True)
@@ -108,11 +115,9 @@ def _validate_candidates(candidates: list[Candidate]) -> None:
 
 
 def classify_candidates(
-    db: DatabaseInstance | Session,
-    candidates: list[Candidate],
-    timeout: float = DEFAULT_TIMEOUT,
+    session: Session, candidates: list[Candidate]
 ) -> tuple[list[list[int]], list[Candidate]]:
-    """Group candidates by their behavior on db.
+    """Group candidates by their behavior on the session's database.
 
     Returns (classes, representatives): classes are candidate-index lists in
     first-appearance order; each class's representative is its member with
@@ -121,10 +126,9 @@ def classify_candidates(
     """
     _validate_candidates(candidates)
     by_key: dict[str, list[int]] = {}
-    with session_for(db) as session:
-        for i, candidate in enumerate(candidates):
-            key = result_canonical_key(execute(session, candidate.sql, timeout))
-            by_key.setdefault(key, []).append(i)
+    for i, candidate in enumerate(candidates):
+        key = result_canonical_key(execute(session, candidate.sql))
+        by_key.setdefault(key, []).append(i)
     classes = list(by_key.values())
 
     def _rep_sort_key(i: int):
@@ -152,7 +156,6 @@ def generate_suite(
     config: SuiteConfig,
     oracle,
     all_sqls: list[str] | None = None,
-    sessions: list[Session] | None = None,
 ) -> TestSuite:
     """Generate up to config.max_test_cases distinguishing test cases.
 
@@ -164,9 +167,9 @@ def generate_suite(
     kept cases distinguish every representative pair.
 
     Each database is loaded once, into the session that computes its
-    signature and serves the oracle request. When `sessions` is given, the
-    session of each kept case is appended to it, still open and in case
-    order, for `rerank`; the caller closes them.
+    signature and serves the oracle request. A kept case owns that session,
+    still loaded for `rerank`, and `TestSuite.close` releases it; the session
+    of a dropped database is closed at once.
     """
     if len(representatives) < 2:
         return TestSuite()
@@ -181,45 +184,56 @@ def generate_suite(
     attempts = dropped_duplicate = dropped_unavailable = 0
     oracle_tag = getattr(oracle, "tag", "")
 
-    for _ in range(config.max_test_cases):
-        attempts += 1
-        # One seed per iteration, drawn unconditionally so the database
-        # sequence does not depend on oracle behavior.
-        iteration_seed = master.getrandbits(63)
-        gen_config = replace(config.gen, seed=iteration_seed)
-        if gen_config.method is GenMethod.FUZZING:
-            candidate_db = fuzz_database(pruned.schema, gen_config)
-        else:
-            candidate_db = sample_database(pruned, gen_config)
-        if targets:
-            candidate_db = constrain_numbers(candidate_db, targets, gen_config)
+    session: Session | None = None
+    try:
+        for _ in range(config.max_test_cases):
+            attempts += 1
+            # One seed per iteration, drawn unconditionally so the database
+            # sequence does not depend on oracle behavior.
+            iteration_seed = master.getrandbits(63)
+            gen_config = replace(config.gen, seed=iteration_seed)
+            if gen_config.method is GenMethod.FUZZING:
+                candidate_db = fuzz_database(pruned.schema, gen_config)
+            else:
+                candidate_db = sample_database(pruned, gen_config)
+            if targets:
+                candidate_db = constrain_numbers(candidate_db, targets, gen_config)
 
-        with ExitStack() as stack:
-            session = stack.enter_context(Session(candidate_db))
+            session = Session(candidate_db)
             signature = tuple(
-                result_canonical_key(execute(session, rep.sql, config.timeout))
-                for rep in representatives
+                result_canonical_key(execute(session, rep.sql)) for rep in representatives
             )
             if signature in signature_set:
+                session.close()
                 dropped_duplicate += 1
                 continue
 
             # The oracle is consulted only for databases worth keeping.
             prediction = oracle.predict(build_request(session, question, config.prompt))
             if not prediction.is_available:
+                session.close()
                 dropped_unavailable += 1
                 continue
             assert prediction.result is not None
             kept_cases.append(
-                TestCase(db=candidate_db, expected=prediction.result, oracle_tag=oracle_tag)
+                TestCase(
+                    db=candidate_db,
+                    expected=prediction.result,
+                    oracle_tag=oracle_tag,
+                    session=session,
+                )
             )
-            if sessions is not None:
-                sessions.append(session)
-                stack.pop_all()  # the caller closes it
-        kept_signatures.append(signature)
-        signature_set.add(signature)
-        if _pairwise_distinguished(kept_signatures, len(representatives)):
-            break
+            kept_signatures.append(signature)
+            signature_set.add(signature)
+            if _pairwise_distinguished(kept_signatures, len(representatives)):
+                break
+    except BaseException:
+        # No suite is handed out, so release every session opened so far.
+        for case in kept_cases:
+            case.session.close()
+        if session is not None:
+            session.close()
+        raise
 
     return TestSuite(
         cases=tuple(kept_cases),
@@ -232,30 +246,18 @@ def generate_suite(
     )
 
 
-def pass_count(
-    candidate: Candidate,
-    suite: TestSuite,
-    relaxed: bool = True,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> int:
-    return _pass_counts([candidate], suite, relaxed, timeout)[candidate.source_rank]
+def pass_count(candidate: Candidate, suite: TestSuite, relaxed: bool = True) -> int:
+    return _pass_counts([candidate], suite, relaxed)[candidate.source_rank]
 
 
 def _pass_counts(
-    candidates: list[Candidate],
-    suite: TestSuite,
-    relaxed: bool,
-    timeout: float,
-    sessions: list[Session] | None = None,
+    candidates: list[Candidate], suite: TestSuite, relaxed: bool
 ) -> dict[int, int]:
-    """Pass counts by source_rank. Case-major, so each test database is
-    loaded once for all candidates, or not at all when its open session is
-    given."""
+    """Pass counts by source_rank, each case's SQL run on its own session."""
     counts = {c.source_rank: 0 for c in candidates}
-    for i, case in enumerate(suite.cases):
-        with session_for(case.db if sessions is None else sessions[i]) as session:
-            for c in candidates:
-                counts[c.source_rank] += _passes(execute(session, c.sql, timeout), case, relaxed)
+    for case in suite.cases:
+        for c in candidates:
+            counts[c.source_rank] += _passes(execute(case.session, c.sql), case, relaxed)
     return counts
 
 
@@ -268,22 +270,12 @@ def _passes(outcome: ExecutionOutcome, case: TestCase, relaxed: bool) -> bool:
     )
 
 
-def rerank(
-    candidates: list[Candidate],
-    suite: TestSuite,
-    relaxed: bool = True,
-    timeout: float = DEFAULT_TIMEOUT,
-    sessions: list[Session] | None = None,
-) -> RerankOutcome:
+def rerank(candidates: list[Candidate], suite: TestSuite, relaxed: bool = True) -> RerankOutcome:
     """Order candidates by pass count, then probability, then original rank.
 
-    An empty suite leaves the input order untouched. `sessions`, when given,
-    are open sessions on the suite's case databases in case order, as
-    `generate_suite` hands them out.
+    An empty suite leaves the input order untouched.
     """
     _validate_candidates(candidates)
-    if sessions is not None and len(sessions) != len(suite.cases):
-        raise ValueError(f"{len(sessions)} sessions for {len(suite.cases)} test cases")
     if not suite.cases:
         scores = tuple(CandidateScore(c, 0) for c in candidates)
         return RerankOutcome(
@@ -292,7 +284,7 @@ def rerank(
             suite=suite,
             oracle_unavailable_count=suite.dropped_unavailable,
         )
-    counts = _pass_counts(candidates, suite, relaxed, timeout, sessions)
+    counts = _pass_counts(candidates, suite, relaxed)
 
     def _sort_key(c: Candidate):
         has_probability = c.probability is not None
@@ -314,17 +306,18 @@ def rerank(
 
 
 def select_best(
-    db: DatabaseInstance | Session,
+    session: Session,
     question: str,
     candidates: list[Candidate],
     config: SuiteConfig,
     oracle,
 ) -> RerankOutcome:
-    """classify -> generate_suite -> rerank; skips when one behavior class."""
+    """classify -> generate_suite -> rerank; skips when one behavior class.
+
+    The suite's sessions are released once the re-rank is done.
+    """
     _validate_candidates(candidates)
-    with session_for(db) as session:
-        classes, representatives = classify_candidates(session, candidates, config.timeout)
-        original = session.db
+    classes, representatives = classify_candidates(session, candidates)
     if len(classes) <= 1:
         return RerankOutcome(
             ranked=tuple(candidates),
@@ -332,22 +325,18 @@ def select_best(
             suite=TestSuite(),
             skipped_all_same=True,
         )
-    # The test databases stay loaded from generation through the re-rank.
-    sessions: list[Session] = []
+    suite = generate_suite(
+        session.db,
+        question,
+        representatives,
+        config,
+        oracle,
+        all_sqls=[c.sql for c in candidates],
+    )
     try:
-        suite = generate_suite(
-            original,
-            question,
-            representatives,
-            config,
-            oracle,
-            all_sqls=[c.sql for c in candidates],
-            sessions=sessions,
-        )
-        return rerank(candidates, suite, config.relaxed, config.timeout, sessions)
+        return rerank(candidates, suite, config.relaxed)
     finally:
-        for session in sessions:
-            session.close()
+        suite.close()
 
 
 def _result_to_json(result: ExecutionResult) -> dict[str, Any]:

@@ -33,6 +33,7 @@ from sqlrerank.evaluate import entry_seed, evaluate_corpus
 from sqlrerank.executor import (
     ExecutionResult,
     OutcomeKind,
+    Session,
     execute,
     result_canonical_key,
     results_equal_relaxed,
@@ -287,7 +288,7 @@ def test_suite_generation_contracts_hold_over_random_pairs(student_instance, fla
                 seed=trial,
             ),
         )
-        classes, reps = classify_candidates(db, candidates)
+        classes, reps = classify_candidates(Session(db), candidates)
         if len(classes) < 2:
             merged += 1
             continue
@@ -530,7 +531,7 @@ def _gold_distinguished(entry: CorpusEntry, config: SuiteConfig, base_seed: int)
     db = read_database(entry.db_file)
     candidates = list(entry.candidates)
     seeded = replace(config, gen=replace(config.gen, seed=entry_seed(base_seed, entry.entry_id)))
-    classes, reps = classify_candidates(db, candidates, seeded.timeout)
+    classes, reps = classify_candidates(Session(db), candidates)
     if len(classes) < 2:
         return False
     suite = generate_suite(

@@ -188,6 +188,7 @@ def test_gen_suite_replay_serves_from_cache(workdir, capsys):
     from sqlrerank.promptgen import PromptConfig
     from sqlrerank.suite import Candidate, SuiteConfig, classify_candidates, generate_suite
     from sqlrerank.dbgen import GenConfig
+    from sqlrerank.executor import Session
 
     db = read_database(str(workdir / "s.db"))
     cache_path = workdir / "cache.jsonl"
@@ -206,7 +207,7 @@ def test_gen_suite_replay_serves_from_cache(workdir, capsys):
         Candidate(WRONG_MAX, probability=0.9, source_rank=0),
         Candidate(GOLD_MIN, probability=0.1, source_rank=1),
     ]
-    _, reps = classify_candidates(db, candidates)
+    _, reps = classify_candidates(Session(db), candidates)
     generate_suite(db, "lowest age?", reps, SuiteConfig(gen=GenConfig(seed=0)), oracle)
     assert len(oracle.cache) > 0
 

@@ -1,5 +1,8 @@
 import json
+import types
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +207,44 @@ def test_evaluate_entry_unreadable_db(corpus, tmp_path):
     report = evaluate_entry(broken, reference_factory, cfg())
     assert report.error is not None
     assert report.error.startswith("database load")
+
+
+# --- the benchmark's trace mode ------------------------------------------------------
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans() -> types.ModuleType:
+    """bench/spans.py run as a module of its own; nothing is imported from
+    bench/ and no bytecode is written there."""
+    module = types.ModuleType("bench_spans")
+    module.__file__ = str(SPANS_PY)
+    code = compile(SPANS_PY.read_text(encoding="utf-8"), str(SPANS_PY), "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+def test_bench_span_targets_resolve():
+    spans = _load_spans()
+    for owner, attribute, _name, _count in spans.TARGETS:
+        assert callable(getattr(spans._resolve(owner), attribute, None)), (owner, attribute)
+
+
+def test_bench_tracing_records_every_layer(corpus):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.tracing(tracer):
+        report = sqlrerank.evaluate.evaluate_entry(corpus[0], reference_factory, cfg())
+    assert not report.gated_out and report.suite_size >= 1
+    recorded = Counter(span[1] for span in tracer.spans)
+    for name in (
+        "executor.execute",
+        "dbio.load_into_connection",
+        "suite.generate_suite",
+        "suite.rerank",
+        "oracle.predict",
+    ):
+        assert recorded[name] >= 1, name
 
 
 # --- corpus-level runs --------------------------------------------------------------

@@ -85,12 +85,12 @@ def test_execute_rejects_multiple_statements(student_instance):
     assert out.kind is OutcomeKind.SQL_ERROR
 
 
-def test_execute_timeout(student_instance):
+def test_execute_timeout(student_instance, monkeypatch):
+    monkeypatch.setattr(sqlrerank.executor, "DEFAULT_TIMEOUT", 0.05)
     out = execute(
         student_instance,
         "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r)"
         " SELECT count(*) FROM r",
-        timeout=0.05,
     )
     assert out.kind is OutcomeKind.TIMEOUT
 
@@ -148,9 +148,10 @@ def test_session_refuses_statements_that_change_it(student_instance, sql, monkey
     assert loads == [student_instance]
 
 
-def test_session_recovers_after_timeout(student_instance):
+def test_session_recovers_after_timeout(student_instance, monkeypatch):
+    monkeypatch.setattr(sqlrerank.executor, "DEFAULT_TIMEOUT", 0.05)
     with Session(student_instance) as session:
-        assert execute(session, ENDLESS, timeout=0.05).kind is OutcomeKind.TIMEOUT
+        assert execute(session, ENDLESS).kind is OutcomeKind.TIMEOUT
         out = execute(session, COUNT_STUDENTS)
         assert out.kind is OutcomeKind.OK
         assert out.result.rows == ((4,),)
@@ -187,11 +188,19 @@ def test_session_load_failure_is_every_outcome(student_schema, monkeypatch):
     assert loads == [duplicate_keys]
 
 
-def test_closed_session_refuses_statements(student_instance):
+def test_closed_session_reloads_for_new_statements_only(student_instance, monkeypatch):
+    loads = _count_loads(monkeypatch)
     session = Session(student_instance)
+    first = execute(session, COUNT_STUDENTS)
     session.close()
-    with pytest.raises(ValueError):
-        execute(session, COUNT_STUDENTS)
+    # A memoized statement is served without a load.
+    assert execute(session, COUNT_STUDENTS) is first
+    assert loads == [student_instance]
+    # A new statement loads the instance again.
+    out = execute(session, "SELECT name FROM student WHERE student_id = 2")
+    assert out.result.rows == (("bob",),)
+    assert loads == [student_instance, student_instance]
+    session.close()
 
 
 # --- exact comparison -----------------------------------------------------------

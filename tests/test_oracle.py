@@ -9,7 +9,7 @@ import pytest
 import requests
 
 from sqlrerank.errors import CacheIo, ParseFailure
-from sqlrerank.executor import ExecutionResult
+from sqlrerank.executor import ExecutionResult, Session
 from sqlrerank.oracle import (
     API_KEY_ENV,
     NoisyOracle,
@@ -27,7 +27,7 @@ from conftest import make_instance
 
 
 def req(db, question="How many students are there?"):
-    return build_request(db, question, PromptConfig())
+    return build_request(Session(db), question, PromptConfig())
 
 
 # --- request ids ----------------------------------------------------------------

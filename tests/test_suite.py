@@ -73,14 +73,14 @@ def test_candidate_validation():
 def test_duplicate_ranks_rejected(student_instance):
     pair = [Candidate("SELECT 1", source_rank=0), Candidate("SELECT 2", source_rank=0)]
     with pytest.raises(ValueError):
-        classify_candidates(student_instance, pair)
+        classify_candidates(Session(student_instance), pair)
     with pytest.raises(ValueError):
         rerank(pair, TestSuite())
 
 
 def test_empty_candidates_rejected(student_instance):
     with pytest.raises(ValueError):
-        classify_candidates(student_instance, [])
+        classify_candidates(Session(student_instance), [])
 
 
 # --- classification ---------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_classify_groups_equivalent_sql(student_instance):
         Candidate("SELECT student.name FROM student", source_rank=1),
         Candidate("SELECT age FROM student", source_rank=2),
     ]
-    classes, reps = classify_candidates(student_instance, candidates)
+    classes, reps = classify_candidates(Session(student_instance), candidates)
     assert classes == [[0, 1], [2]]
     assert reps[0].source_rank == 0
     assert reps[1].source_rank == 2
@@ -104,7 +104,7 @@ def test_classify_survives_infinite_results(student_instance):
         Candidate("SELECT -1e999", source_rank=1),
         Candidate("SELECT 2e999", source_rank=2),
     ]
-    classes, _ = classify_candidates(student_instance, candidates)
+    classes, _ = classify_candidates(Session(student_instance), candidates)
     assert classes == [[0, 2], [1]]
     inf = execute(student_instance, "SELECT 1e999").result
     assert inf.rows == ((float("inf"),),)
@@ -117,7 +117,7 @@ def test_classify_first_appearance_order(student_instance):
         Candidate("SELECT name FROM student", source_rank=1),
         Candidate("SELECT student.age FROM student", source_rank=2),
     ]
-    classes, _ = classify_candidates(student_instance, candidates)
+    classes, _ = classify_candidates(Session(student_instance), candidates)
     assert classes == [[0, 2], [1]]
 
 
@@ -126,7 +126,7 @@ def test_classify_representative_prefers_probability(student_instance):
         Candidate("SELECT name FROM student", probability=0.1, source_rank=0),
         Candidate("SELECT student.name FROM student", probability=0.9, source_rank=1),
     ]
-    _, reps = classify_candidates(student_instance, candidates)
+    _, reps = classify_candidates(Session(student_instance), candidates)
     assert reps[0].source_rank == 1
 
 
@@ -135,7 +135,7 @@ def test_classify_missing_probability_loses(student_instance):
         Candidate("SELECT name FROM student", source_rank=0),
         Candidate("SELECT student.name FROM student", probability=0.01, source_rank=1),
     ]
-    _, reps = classify_candidates(student_instance, candidates)
+    _, reps = classify_candidates(Session(student_instance), candidates)
     assert reps[0].source_rank == 1
 
 
@@ -144,7 +144,7 @@ def test_classify_probability_tie_breaks_by_rank(student_instance):
         Candidate("SELECT student.name FROM student", probability=0.5, source_rank=3),
         Candidate("SELECT name FROM student", probability=0.5, source_rank=1),
     ]
-    _, reps = classify_candidates(student_instance, candidates)
+    _, reps = classify_candidates(Session(student_instance), candidates)
     assert reps[0].source_rank == 1
 
 
@@ -154,7 +154,7 @@ def test_classify_errors_share_a_class(student_instance):
         Candidate("SELECT broken_b FROM nowhere", source_rank=1),
         Candidate("SELECT name FROM student", source_rank=2),
     ]
-    classes, _ = classify_candidates(student_instance, candidates)
+    classes, _ = classify_candidates(Session(student_instance), candidates)
     assert classes == [[0, 1], [2]]
 
 
@@ -165,7 +165,7 @@ def test_classify_order_flag_splits_classes(student_instance):
         Candidate("SELECT age FROM student ORDER BY age", source_rank=0),
         Candidate("SELECT age FROM student", source_rank=1),
     ]
-    classes, _ = classify_candidates(student_instance, candidates)
+    classes, _ = classify_candidates(Session(student_instance), candidates)
     assert len(classes) == 2
 
 
@@ -311,6 +311,41 @@ def test_generate_suite_db_sequence_ignores_oracle(student_instance):
     assert flaky.request_dbs[:2] == never.request_dbs[:2]
 
 
+def _undistinguished_reps():
+    """Two representatives no database tells apart, so generation never stops
+    early and keeps every case with a new signature."""
+    return [
+        Candidate(GOLD_MIN, source_rank=0),
+        Candidate("SELECT min(age) FROM student WHERE 1 = 1", source_rank=1),
+    ]
+
+
+def test_generate_suite_closes_its_sessions_when_the_oracle_raises(
+    student_instance, monkeypatch
+):
+    opened, closed = [], []
+    real_init, real_close = Session.__init__, Session.close
+    monkeypatch.setattr(
+        Session, "__init__", lambda self, db: opened.append(self) or real_init(self, db)
+    )
+    monkeypatch.setattr(Session, "close", lambda self: closed.append(self) or real_close(self))
+
+    class FailingOracle(RecordingOracle):
+        def predict(self, request):
+            if len(self.request_dbs) == 2:
+                raise RuntimeError("oracle down")
+            return super().predict(request)
+
+    with pytest.raises(RuntimeError, match="oracle down"):
+        generate_suite(
+            student_instance, "q", _undistinguished_reps(), pick_suite_cfg(max_test_cases=10),
+            FailingOracle(inner=ReferenceOracle(GOLD_MIN)),
+        )
+    # Two kept cases and the database the oracle failed on, at least.
+    assert len(opened) >= 3
+    assert {id(session) for session in closed} == {id(session) for session in opened}
+
+
 # --- pass counting and reranking ------------------------------------------------------
 
 
@@ -393,10 +428,33 @@ def test_rerank_is_stable_for_equal_keys(student_instance):
     assert [c.source_rank for c in outcome.ranked] == [0, 1]
 
 
-def test_rerank_rejects_sessions_not_matching_cases(student_instance):
-    candidates = [Candidate(GOLD_MIN, source_rank=0)]
-    with pytest.raises(ValueError, match="0 sessions for 1 test cases"):
-        rerank(candidates, _handmade_suite(student_instance), sessions=[])
+def test_rerank_of_a_loaded_suite_loads_each_case_database_once(student_instance, monkeypatch):
+    generated = generate_suite(
+        student_instance, "q", _undistinguished_reps(), pick_suite_cfg(max_test_cases=4),
+        ReferenceOracle(GOLD_MIN),
+    )
+    generated.close()
+    suite = suite_from_json(suite_to_json(generated))
+    assert len(suite.cases) >= 2
+    loads = []
+    real_load = sqlrerank.executor.load_into_connection
+    monkeypatch.setattr(
+        sqlrerank.executor,
+        "load_into_connection",
+        lambda db, conn: loads.append(db) or real_load(db, conn),
+    )
+    candidates = [
+        Candidate(WRONG_MAX, source_rank=0),
+        Candidate(GOLD_MIN, source_rank=1),
+        Candidate("SELECT broken FROM student", source_rank=2),
+    ]
+    first = rerank(candidates, suite)
+    assert first.ranked[0].sql == GOLD_MIN
+    assert [id(db) for db in loads] == [id(case.db) for case in suite.cases]
+    # The same candidates again are served by the cases' sessions.
+    assert rerank(candidates, suite) == first
+    assert len(loads) == len(suite.cases)
+    suite.close()
 
 
 # --- select_best ---------------------------------------------------------------------------
@@ -408,7 +466,7 @@ def test_select_best_skips_single_class(student_instance):
         Candidate("SELECT student.name FROM student", source_rank=1),
     ]
     outcome = select_best(
-        student_instance, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        Session(student_instance), "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
     )
     assert outcome.skipped_all_same
     assert outcome.ranked == tuple(candidates)
@@ -422,7 +480,7 @@ def test_select_best_promotes_gold(student_instance):
     ]
     for cfg in (pick_suite_cfg(), fuzz_suite_cfg()):
         outcome = select_best(
-            student_instance, "lowest age?", candidates, cfg, ReferenceOracle(GOLD_MIN)
+            Session(student_instance), "lowest age?", candidates, cfg, ReferenceOracle(GOLD_MIN)
         )
         assert not outcome.skipped_all_same
         assert outcome.ranked[0].sql == GOLD_MIN
@@ -435,7 +493,7 @@ def test_select_best_class_members_rank_together(student_instance):
         Candidate("SELECT min(age) FROM student WHERE 1 = 1", probability=0.4, source_rank=2),
     ]
     outcome = select_best(
-        student_instance, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        Session(student_instance), "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
     )
     assert [c.source_rank for c in outcome.ranked] == [1, 2, 0]
 
@@ -446,7 +504,7 @@ def test_select_best_unavailable_oracle_keeps_order(student_instance):
         Candidate(GOLD_MIN, source_rank=1),
     ]
     cfg = pick_suite_cfg(max_test_cases=4)
-    outcome = select_best(student_instance, "q", candidates, cfg, RecordingOracle())
+    outcome = select_best(Session(student_instance), "q", candidates, cfg, RecordingOracle())
     assert outcome.ranked == tuple(candidates)
     assert outcome.oracle_unavailable_count == 4
     assert not outcome.skipped_all_same
@@ -465,9 +523,10 @@ def test_select_best_loads_each_database_once(student_instance, monkeypatch):
         Candidate(WRONG_MAX, probability=0.9, source_rank=0),
         Candidate(GOLD_MIN, probability=0.1, source_rank=1),
     ]
-    outcome = select_best(
-        student_instance, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
-    )
+    with Session(student_instance) as session:
+        outcome = select_best(
+            session, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        )
     assert outcome.ranked[0].sql == GOLD_MIN
     # The original, then each generated database once: its signature, the
     # oracle's gold run and the re-rank share one load.
@@ -476,6 +535,28 @@ def test_select_best_loads_each_database_once(student_instance, monkeypatch):
     assert len({id(db) for db in loads}) == len(loads)
     # Every session is closed, the ones handed on to the re-rank too.
     assert len({id(session) for session in closed}) == len(loads)
+
+
+def test_rerank_of_a_returned_suite_keeps_the_order(student_instance):
+    candidates = [
+        Candidate(WRONG_MAX, probability=0.9, source_rank=0),
+        Candidate(GOLD_MIN, probability=0.1, source_rank=1),
+        Candidate("SELECT min(age) FROM student WHERE 1 = 1", probability=0.4, source_rank=2),
+    ]
+    with Session(student_instance) as session:
+        outcome = select_best(
+            session, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        )
+    assert outcome.suite.cases
+    again = rerank(candidates, outcome.suite)
+    assert again.ranked == outcome.ranked
+    assert again.scores == outcome.scores
+    # A closed case session still runs a statement it has not seen.
+    gold_again = Candidate("SELECT min(age) + 0 FROM student", source_rank=3)
+    extended = rerank(candidates + [gold_again], outcome.suite)
+    assert extended.ranked[:3] == (candidates[2], candidates[1], gold_again)
+    assert extended.scores[2].pass_count == extended.scores[1].pass_count >= 1
+    outcome.suite.close()
 
 
 # --- serialization ----------------------------------------------------------------------------
@@ -504,7 +585,7 @@ def test_outcome_json_shape(student_instance):
         Candidate(GOLD_MIN, probability=0.1, source_rank=1),
     ]
     outcome = select_best(
-        student_instance, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        Session(student_instance), "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
     )
     payload = outcome_to_json(outcome)
     assert payload["ranked"][0]["sql"] == GOLD_MIN
