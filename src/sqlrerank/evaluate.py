@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
 from .corpus import CorpusEntry, apply_type_overrides
 from .dbio import read_database
-from .executor import ExecutionResult, OutcomeKind, Session, execute, results_equal_relaxed
+from .errors import SqlRerankError
+from .executor import LoadedCopy, OutcomeKind, Session, execute, results_equal_relaxed
+from .instance import DatabaseInstance
 from .suite import RerankOutcome, SuiteConfig, select_best
 
 
@@ -52,23 +55,89 @@ def entry_seed(base_seed: int, entry_id: str) -> int:
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
 
+class Originals:
+    """The original databases of one corpus run, shared by its entries.
+
+    Each database file is read once, and each (file, type overrides) pair is
+    loaded once into a `LoadedCopy` that entry sessions start from. Overrides
+    change declared types, and so the affinity rows get on insert, which is
+    why a copy belongs to the pair and not to the file. Failures are kept
+    too, so each entry on a broken file reports the same error. Safe to share
+    between threads: the cache is filled under a lock, so no file is read or
+    loaded twice. `close` releases the copies.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._instances: dict[str, DatabaseInstance | str] = {}
+        self._copies: dict[tuple, LoadedCopy | str] = {}
+
+    def __enter__(self) -> Originals:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            for copy in self._copies.values():
+                if isinstance(copy, LoadedCopy):
+                    copy.close()
+            self._copies.clear()
+
+    def session(self, entry: CorpusEntry) -> Session:
+        """A session on the entry's original; raises what loading it raised."""
+        key = (entry.db_file, tuple(sorted(entry.type_overrides.items())))
+        with self._lock:
+            copy = self._copies.get(key)
+            if copy is None:
+                copy = self._copies[key] = self._load(entry)
+        if isinstance(copy, str):
+            raise SqlRerankError(copy)
+        return copy.session()
+
+    def _load(self, entry: CorpusEntry) -> LoadedCopy | str:
+        db = self._instances.get(entry.db_file)
+        if db is None:
+            db = self._instances[entry.db_file] = _read_or_error(entry.db_file)
+        if isinstance(db, str):
+            return db
+        try:
+            return LoadedCopy(apply_type_overrides(db, entry.type_overrides))
+        except Exception as exc:  # recorded per entry, as a read failure is
+            return str(exc)
+
+
+def _read_or_error(db_file: str) -> DatabaseInstance | str:
+    try:
+        return read_database(db_file)
+    except Exception as exc:  # recorded per entry, not fatal
+        return str(exc)
+
+
 def evaluate_entry(
     entry: CorpusEntry,
     oracle_factory: Callable[[CorpusEntry], Any],
     config: SuiteConfig,
     gate: str = "paper",
     base_seed: int = 0,
+    originals: Originals | None = None,
 ) -> EntryReport:
+    """Evaluate one entry on its original from `originals`, the ones a
+    corpus run shares, or from originals of its own when none are given."""
     if entry.gold_sql is None:
         return EntryReport(entry_id=entry.entry_id, error="missing gold_sql", tags=entry.tags)
+    if originals is None:
+        with Originals() as own:
+            return evaluate_entry(entry, oracle_factory, config, gate, base_seed, own)
     try:
-        db = apply_type_overrides(read_database(entry.db_file), entry.type_overrides)
-    except Exception as exc:  # per-entry failures are recorded, not fatal
+        session = originals.session(entry)
+    except SqlRerankError as exc:  # per-entry failures are recorded, not fatal
         return EntryReport(entry_id=entry.entry_id, error=f"database load: {exc}", tags=entry.tags)
 
     # One session on the original database serves the gold run, both top-1
     # checks, the gate and the re-rank.
-    with Session(db) as session:
+    with session:
         gold_outcome = execute(session, entry.gold_sql)
         if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
             return EntryReport(
@@ -143,19 +212,16 @@ def evaluate_corpus(
 ) -> EvalReport:
     if gate not in ("paper", "none"):
         raise ValueError(f"unknown gate {gate!r}")
-    if workers > 1 and entries:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(
-                    lambda e: evaluate_entry(e, oracle_factory, config, gate, base_seed),
-                    entries,
-                )
-            )
-    else:
-        reports = [
-            evaluate_entry(entry, oracle_factory, config, gate, base_seed)
-            for entry in entries
-        ]
+    with Originals() as originals:
+
+        def _evaluate(entry: CorpusEntry) -> EntryReport:
+            return evaluate_entry(entry, oracle_factory, config, gate, base_seed, originals)
+
+        if workers > 1 and entries:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_evaluate, entries))
+        else:
+            reports = [_evaluate(entry) for entry in entries]
     return build_report(reports)
 
 

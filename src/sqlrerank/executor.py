@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import sqlite3
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .dbio import load_into_connection
 from .instance import DatabaseInstance
@@ -37,6 +39,15 @@ class ExecutionResult:
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+
+    @cached_property
+    def canonical_rows(self) -> tuple[tuple, ...]:
+        """The rows with every cell through `_canon`, computed once per result.
+        A row whose cells are all ints, text or NULL is reused."""
+        return tuple(
+            row if _CANONICAL_TYPES.issuperset(map(type, row)) else tuple(map(_canon, row))
+            for row in self.rows
+        )
 
 
 @dataclass(frozen=True)
@@ -72,18 +83,21 @@ class Session:
     """A DatabaseInstance loaded into a private, read-only connection.
 
     This is the one place that turns (instance, SQL) into an outcome. The
-    instance is loaded on the first statement that is not memoized; a load
-    failure is the outcome of every statement. After the load only reading
-    statements are authorized, so no statement can change what a later one
-    sees. Each statement may run for DEFAULT_TIMEOUT seconds, read when it
-    starts, and outcomes are memoized per SQL text. `close` releases the
-    connection and keeps the memo, so a later new statement loads the
-    instance again. A loaded session belongs to the thread that loaded it.
-    Run statements through `execute(session, sql)`.
+    instance is loaded on the first statement that is not memoized, by a
+    backup of `copy` when one is given and by inserting its rows otherwise;
+    a load failure is the outcome of every statement. After the load only
+    reading statements are authorized, so no statement can change what a
+    later one sees. Each statement may run for DEFAULT_TIMEOUT seconds, read
+    when it starts, and outcomes are memoized per SQL text. `close` releases
+    the connection and keeps the memo, so a later new statement loads the
+    instance again. A session may be made in any thread, but once loaded it
+    belongs to the thread that loaded it. Run statements through
+    `execute(session, sql)`.
     """
 
-    def __init__(self, db: DatabaseInstance):
+    def __init__(self, db: DatabaseInstance, copy: LoadedCopy | None = None):
         self.db = db
+        self._copy = copy
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
         self._memo: dict[str, ExecutionOutcome] = {}
@@ -111,7 +125,10 @@ class Session:
         if self._conn is None and self._load_failure is None:
             conn = sqlite3.connect(":memory:")
             try:
-                load_into_connection(self.db, conn)
+                if self._copy is not None:
+                    self._copy.load_into(conn)
+                else:
+                    load_into_connection(self.db, conn)
             except sqlite3.Error as exc:
                 conn.close()
                 self._load_failure = ExecutionOutcome.sql_error(f"instance load failed: {exc}")
@@ -140,7 +157,11 @@ class Session:
                 return ExecutionOutcome.timeout()
             return ExecutionOutcome.sql_error(str(exc))
         columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
-        normalized = tuple(tuple(_normalize_cell(v) for v in row) for row in rows)
+        # A row holding no bytes is kept as it is.
+        normalized = tuple(
+            tuple(map(_normalize_cell, row)) if bytes in map(type, row) else row
+            for row in rows
+        )
         return ExecutionOutcome.ok(
             ExecutionResult(
                 columns=columns,
@@ -148,6 +169,43 @@ class Session:
                 order_significant=has_top_level_order_by(sql),
             )
         )
+
+
+class LoadedCopy:
+    """An instance loaded once into an in-memory connection, for sessions to
+    start from by backup instead of inserting every row again.
+
+    Sessions may start from it in any thread; their backups take turns. If
+    the instance failed to load, or the copy is closed, a session inserts
+    the rows itself, so a load failure reads as it always does.
+    """
+
+    def __init__(self, db: DatabaseInstance):
+        self.db = db
+        self._lock = threading.Lock()
+        self._conn: sqlite3.Connection | None = sqlite3.connect(
+            ":memory:", check_same_thread=False
+        )
+        try:
+            load_into_connection(db, self._conn)
+        except sqlite3.Error:
+            self.close()
+
+    def session(self) -> Session:
+        return Session(self.db, self)
+
+    def load_into(self, conn: sqlite3.Connection) -> None:
+        with self._lock:
+            if self._conn is not None:
+                self._conn.backup(conn)
+                return
+        load_into_connection(self.db, conn)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
 
 def execute(db: DatabaseInstance | Session, sql: str) -> ExecutionOutcome:
@@ -178,14 +236,6 @@ def _canon(value):
 _CANONICAL_TYPES = frozenset({int, str, type(None)})
 
 
-def _canon_rows(rows: tuple[tuple, ...]) -> list[tuple]:
-    """Canonical rows. A row whose cells are all ints, text or NULL is reused."""
-    return [
-        row if _CANONICAL_TYPES.issuperset(map(type, row)) else tuple(map(_canon, row))
-        for row in rows
-    ]
-
-
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     """Equality of canonical cells: positional when either side's order is
     significant, multiset otherwise. Column labels are ignored.
@@ -198,7 +248,7 @@ def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     """
     if len(a.columns) != len(b.columns) or len(a.rows) != len(b.rows):
         return False
-    rows_a, rows_b = _canon_rows(a.rows), _canon_rows(b.rows)
+    rows_a, rows_b = a.canonical_rows, b.canonical_rows
     if a.order_significant or b.order_significant:
         return rows_a == rows_b
     return Counter(rows_a) == Counter(rows_b)
@@ -223,7 +273,7 @@ def results_equal_relaxed(a: ExecutionResult, b: ExecutionResult) -> bool:
     if not narrow.rows:
         return True
     ordered = a.order_significant or b.order_significant
-    narrow_rows, wide_rows = _canon_rows(narrow.rows), _canon_rows(wide.rows)
+    narrow_rows, wide_rows = narrow.canonical_rows, wide.canonical_rows
     narrow_columns, wide_columns = list(zip(*narrow_rows)), list(zip(*wide_rows))
 
     signature = tuple if ordered else Counter
@@ -327,9 +377,9 @@ def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
         return "!timeout"
     result = outcome.result
     assert result is not None
-    rows = _canon_rows(result.rows)
+    rows = result.canonical_rows
     if not result.order_significant:
-        rows.sort(key=lambda row: tuple(map(_sort_position, row)))
+        rows = sorted(rows, key=lambda row: tuple(map(_sort_position, row)))
     encoded = ";".join("|".join(map(_encode, row)) for row in rows)
     flag = "o" if result.order_significant else "u"
     return f"ok:{len(result.columns)}:{flag}:{encoded}"

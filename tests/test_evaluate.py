@@ -8,7 +8,8 @@ import pytest
 
 import sqlrerank.evaluate
 import sqlrerank.executor
-from sqlrerank.corpus import load_corpus
+from conftest import make_instance
+from sqlrerank.corpus import apply_type_overrides, load_corpus
 from sqlrerank.dbgen import GenConfig, GenMethod
 from sqlrerank.dbio import read_database, write_database
 from sqlrerank.evaluate import (
@@ -276,6 +277,129 @@ def test_evaluate_corpus_deterministic(corpus):
     a = dump_report(evaluate_corpus(corpus, reference_factory, cfg()))
     b = dump_report(evaluate_corpus(corpus, reference_factory, cfg()))
     assert a == b
+
+
+# --- originals shared across a corpus run ------------------------------------------
+
+GOLD_MAX = "SELECT max(age) FROM student"
+AS_TEXT = {"student.age": "text"}
+
+
+@pytest.fixture
+def shared_corpus(tmp_path, student_instance, student_schema):
+    """Entries sharing two readable files, one file under two sets of type
+    overrides, an unreadable file shared by two entries, and an entry with
+    no gold SQL."""
+    write_database(student_instance, str(tmp_path / "s.db"))
+    older = make_instance(
+        student_schema, {"student": [(1, "ann", 30), (2, "bob", 22), (5, "eve", 19)]}
+    )
+    write_database(older, str(tmp_path / "t.db"))
+    (tmp_path / "junk.db").write_text("not a database file at all, just filler text")
+    # max(age) is the int 23, or the text '23' once age is declared text.
+    typed = [("SELECT 23", 0.6), ("SELECT '23'", 0.4)]
+    manifest = {
+        "entries": [
+            _entry("s-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)]),
+            _entry("s-int", typed, gold=GOLD_MAX),
+            _entry("s-text", typed, gold=GOLD_MAX, type_overrides=AS_TEXT),
+            _entry("s-text-again", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
+                   gold=GOLD_COUNT, type_overrides=AS_TEXT),
+            _entry("t-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file="t.db"),
+            _entry("t-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
+                   gold=GOLD_COUNT, db_file="t.db"),
+            _entry("junk-1", [(GOLD_MIN, 1.0)], db_file="junk.db"),
+            _entry("junk-2", [(GOLD_MIN, 1.0)], db_file="junk.db"),
+            _entry("no-gold", [(GOLD_MIN, 1.0)], gold=None),
+        ]
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return load_corpus(str(path))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_corpus_reads_each_file_once(shared_corpus, monkeypatch, workers):
+    reads = []
+    real_read = sqlrerank.evaluate.read_database
+    monkeypatch.setattr(
+        sqlrerank.evaluate, "read_database", lambda path: reads.append(path) or real_read(path)
+    )
+    evaluate_corpus(shared_corpus, reference_factory, cfg(), workers=workers)
+    files = {e.db_file for e in shared_corpus if e.gold_sql is not None}
+    assert len(files) == 3
+    assert Counter(reads) == {f: 1 for f in files}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_corpus_loads_one_copy_per_file_and_overrides(
+    shared_corpus, monkeypatch, workers
+):
+    loads = []
+    real_load = sqlrerank.executor.load_into_connection
+    monkeypatch.setattr(
+        sqlrerank.executor,
+        "load_into_connection",
+        lambda db, conn: loads.append(db) or real_load(db, conn),
+    )
+    report = evaluate_corpus(shared_corpus, reference_factory, cfg(), workers=workers)
+    assert sum(not r.gated_out and r.suite_size > 0 for r in report.entries) >= 2
+    readable = [e for e in shared_corpus if "junk" not in e.db_file]
+    originals = {
+        (e.db_file, tuple(e.type_overrides.items())): apply_type_overrides(
+            read_database(e.db_file), e.type_overrides
+        )
+        for e in readable
+    }
+    assert len(originals) == 3
+    for original in originals.values():
+        assert sum(db == original for db in loads) == 1
+    # Everything else loaded is a generated database.
+    assert sum(db in originals.values() for db in loads) == 3 < len(loads)
+
+
+def test_evaluate_corpus_keeps_affinity_per_override(shared_corpus):
+    report = evaluate_corpus(shared_corpus, reference_factory, cfg())
+    as_int, as_text = by_id(report, "s-int"), by_id(report, "s-text")
+    assert as_int.error is None and as_text.error is None
+    assert as_int.pre_top1_correct
+    assert not as_text.pre_top1_correct
+
+
+def test_evaluate_corpus_reports_a_shared_unreadable_file_per_entry(shared_corpus):
+    report = evaluate_corpus(shared_corpus, reference_factory, cfg())
+    errors = [by_id(report, entry_id).error for entry_id in ("junk-1", "junk-2")]
+    assert errors[0].startswith("database load: ")
+    assert errors[0] == errors[1]
+
+
+def test_evaluate_corpus_missing_gold(shared_corpus):
+    report = evaluate_corpus(shared_corpus, reference_factory, cfg())
+    assert by_id(report, "no-gold").error == "missing gold_sql"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_corpus_matches_entries_evaluated_alone(shared_corpus, workers):
+    alone = build_report([evaluate_entry(e, reference_factory, cfg()) for e in shared_corpus])
+    together = evaluate_corpus(shared_corpus, reference_factory, cfg(), workers=workers)
+    assert together == alone
+    assert together.error_count == 3
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_corpus_calls_evaluate_entry_once_per_entry(corpus, monkeypatch, workers):
+    """bench/run.py times entries by patching this module-level name."""
+    called = []
+    real_evaluate_entry = sqlrerank.evaluate.evaluate_entry
+
+    def counting(entry, *args, **kwargs):
+        called.append(entry.entry_id)
+        return real_evaluate_entry(entry, *args, **kwargs)
+
+    monkeypatch.setattr(sqlrerank.evaluate, "evaluate_entry", counting)
+    report = evaluate_corpus(corpus, reference_factory, cfg(), workers=workers)
+    assert sorted(called) == sorted(e.entry_id for e in corpus)
+    assert [r.entry_id for r in report.entries] == [e.entry_id for e in corpus]
 
 
 def test_evaluate_corpus_empty():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ import sqlrerank.executor
 from sqlrerank.executor import (
     ExecutionOutcome,
     ExecutionResult,
+    LoadedCopy,
     OutcomeKind,
     Session,
     execute,
@@ -98,6 +101,14 @@ def test_execute_timeout(student_instance, monkeypatch):
 def test_execute_normalizes_blobs(student_instance):
     out = execute(student_instance, "SELECT CAST('ab' AS BLOB)")
     assert out.result.rows == (("ab",),)
+
+
+def test_execute_normalizes_only_rows_holding_blobs(student_instance):
+    out = execute(
+        student_instance,
+        "SELECT CAST('ab' AS BLOB), 1 UNION ALL SELECT 'cd', 2.5 UNION ALL SELECT NULL, X'6566'",
+    )
+    assert out.result.rows == (("ab", 1), ("cd", 2.5), (None, "ef"))
 
 
 def test_execute_null_cells(student_instance):
@@ -201,6 +212,87 @@ def test_closed_session_reloads_for_new_statements_only(student_instance, monkey
     assert out.result.rows == (("bob",),)
     assert loads == [student_instance, student_instance]
     session.close()
+
+
+def test_loaded_copy_sessions_start_from_one_load(student_instance, monkeypatch):
+    statements = (
+        COUNT_STUDENTS,
+        "SELECT * FROM enrollment ORDER BY grade DESC",
+        "SELECT rowid, typeof(age), name FROM student",
+        "DELETE FROM student",
+        "SELECT ghost FROM student",
+    )
+    with Session(student_instance) as session:
+        plain = [execute(session, sql) for sql in statements]
+    assert "not authorized" in plain[3].message
+    loads = _count_loads(monkeypatch)
+    copy = LoadedCopy(student_instance)
+    try:
+        for _ in range(3):
+            with copy.session() as session:
+                assert session.db is student_instance
+                assert [execute(session, sql) for sql in statements] == plain
+    finally:
+        copy.close()
+    assert loads == [student_instance]
+
+
+def test_loaded_copy_that_fails_to_load_gives_plain_sessions(student_schema, monkeypatch):
+    duplicate_keys = make_instance(
+        student_schema, {"student": [(1, "ann", 20), (1, "bob", 22)]}
+    )
+    with Session(duplicate_keys) as session:
+        plain = execute(session, COUNT_STUDENTS)
+    loads = _count_loads(monkeypatch)
+    copy = LoadedCopy(duplicate_keys)
+    with copy.session() as session:
+        assert execute(session, COUNT_STUDENTS) == plain
+    assert plain.message.startswith("instance load failed: UNIQUE constraint failed")
+    # The copy's own attempt, then the session's plain load.
+    assert loads == [duplicate_keys, duplicate_keys]
+
+
+def test_closed_loaded_copy_gives_plain_sessions(student_instance, monkeypatch):
+    copy = LoadedCopy(student_instance)
+    session = copy.session()
+    first = execute(session, COUNT_STUDENTS)
+    session.close()
+    copy.close()
+    loads = _count_loads(monkeypatch)
+    with session:
+        assert execute(session, COUNT_STUDENTS) is first
+        out = execute(session, "SELECT name FROM student WHERE student_id = 2")
+    assert out.result.rows == (("bob",),)
+    assert loads == [student_instance]
+
+
+def test_loaded_copy_serves_sessions_in_many_threads(student_instance):
+    copy = LoadedCopy(student_instance)
+    counts: list[tuple] = []
+    failures: list[BaseException] = []
+
+    def work():
+        try:
+            for _ in range(25):
+                with copy.session() as session:
+                    counts.append(execute(session, COUNT_STUDENTS).result.rows)
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        copy.close()
+    assert failures == []
+    assert counts == [((4,),)] * 200
 
 
 # --- exact comparison -----------------------------------------------------------
@@ -353,6 +445,15 @@ def test_equal_infinity():
     assert results_equal(res([[inf]]), res([[inf]]))
     assert not results_equal(res([[inf]]), res([[-inf]]))
     assert result_canonical_key(res([[inf], [-inf]])) == "ok:1:u:n:-inf;n:inf"
+
+
+def test_canonical_rows_are_computed_once():
+    result = res([[1.0000004, "a"], [2, None], [True, 1.5]])
+    assert result.canonical_rows == ((1, "a"), (2, None), (("b", True), 1.5))
+    assert result.canonical_rows is result.canonical_rows
+    # The cache is not a field: equality and repr see the rows alone.
+    assert result == res([[1.0000004, "a"], [2, None], [True, 1.5]])
+    assert "canonical" not in repr(result)
 
 
 def test_canonical_key_escapes_separators():
