@@ -14,6 +14,7 @@ import random
 import string
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 
 from .errors import CyclicForeignKeys, MalformedDatabase, TargetIsForeignKey, UnknownColumn
 from .instance import Cell, DatabaseInstance, TableData, column_index
@@ -205,7 +206,7 @@ def sample_database(original: DatabaseInstance, config: GenConfig) -> DatabaseIn
         picked = [
             i for i, row in enumerate(rows)
             if any(row[pi] in values for pi, values in needed_values)
-        ]
+        ] if needed_values else []
         picked_set = set(picked)
         if len(picked) < config.mts:
             remaining = [i for i in range(len(rows)) if i not in picked_set]
@@ -353,7 +354,7 @@ def prune_schema(
             kept_fks.append(fk)
 
     new_tables: list[Table] = []
-    projections: dict[str, list[int]] = {}
+    projections: dict[str, list[int] | None] = {}
     for table in kept_tables:
         tkey = table.name.lower()
         wanted = {c.lower() for (t, c) in used_columns if t.lower() == tkey}
@@ -367,9 +368,8 @@ def prune_schema(
         if not pk_intact:
             kept_cols = [replace(c, is_primary_key=False) for c in kept_cols]
         new_tables.append(Table(name=table.name, columns=tuple(kept_cols)))
-        projections[table.name] = [
-            i for i, c in enumerate(table.columns) if c.name.lower() in wanted
-        ]
+        idxs = [i for i, c in enumerate(table.columns) if c.name.lower() in wanted]
+        projections[table.name] = idxs if len(idxs) < len(table.columns) else None
 
     new_schema = SchemaGraph(tables=tuple(new_tables), foreign_keys=tuple(kept_fks))
     checked, _warnings = analyze_all([a.sql for a in analyses], new_schema)
@@ -379,11 +379,10 @@ def prune_schema(
 
     data: dict[str, TableData] = {}
     for table in new_tables:
-        source = db.data_for(table.name)
+        rows = db.data_for(table.name).rows
         idxs = projections[table.name]
-        data[table.name] = TableData(
-            table.name,
-            table.column_names(),
-            tuple(tuple(row[i] for i in idxs) for row in source.rows),
-        )
+        if idxs is not None:  # some column is dropped
+            pick = itemgetter(*idxs)
+            rows = tuple(map(pick, rows)) if len(idxs) > 1 else tuple(zip(map(pick, rows)))
+        data[table.name] = TableData(table.name, table.column_names(), rows)
     return DatabaseInstance(schema=new_schema, tables=data), _numeric_targets(new_schema, checked)

@@ -8,9 +8,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 from .dbio import load_into_connection
-from .instance import DatabaseInstance
+from .instance import DatabaseInstance, check_row_widths
 from .sqlanalysis import READ_ACTIONS, has_top_level_order_by
 
 # Seconds a statement may run before its outcome is a timeout.
@@ -35,19 +36,35 @@ class ExecutionResult:
     order_significant: bool = False
 
     def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        check_row_widths(self.rows, len(self.columns))
+
+    # Cached views, computed once per result and kept out of equality and repr.
+    @cached_property
+    def cell_types(self) -> frozenset[type]:
+        return frozenset(map(type, chain.from_iterable(self.rows)))
 
     @cached_property
     def canonical_rows(self) -> tuple[tuple, ...]:
-        """The rows with every cell through `_canon`, computed once per result.
-        A row whose cells are all ints, text or NULL is reused."""
+        """The rows with every cell through `_canon`; a row, or all of them,
+        whose cells are ints, text or NULL is reused."""
+        if _CANONICAL_TYPES.issuperset(self.cell_types):
+            return self.rows
         return tuple(
             row if _CANONICAL_TYPES.issuperset(map(type, row)) else tuple(map(_canon, row))
             for row in self.rows
         )
+
+    @cached_property
+    def row_counts(self) -> dict[tuple, int]:
+        return _counts(self.canonical_rows)
+
+    @cached_property
+    def canonical_columns(self) -> list[tuple]:
+        return list(zip(*self.canonical_rows))
+
+    @cached_property
+    def column_counts(self) -> list[dict]:
+        return [_counts(column) for column in self.canonical_columns]
 
 
 @dataclass(frozen=True)
@@ -157,18 +174,15 @@ class Session:
                 return ExecutionOutcome.timeout()
             return ExecutionOutcome.sql_error(str(exc))
         columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
-        # A row holding no bytes is kept as it is.
-        normalized = tuple(
-            tuple(map(_normalize_cell, row)) if bytes in map(type, row) else row
-            for row in rows
-        )
-        return ExecutionOutcome.ok(
-            ExecutionResult(
-                columns=columns,
-                rows=normalized,
-                order_significant=has_top_level_order_by(sql),
+        result = ExecutionResult(columns, tuple(rows), has_top_level_order_by(sql))
+        if bytes in result.cell_types:
+            # A row holding no bytes is kept as it is.
+            normalized = tuple(
+                tuple(map(_normalize_cell, row)) if bytes in map(type, row) else row
+                for row in rows
             )
-        )
+            result = ExecutionResult(columns, normalized, result.order_significant)
+        return ExecutionOutcome.ok(result)
 
 
 class LoadedCopy:
@@ -236,6 +250,11 @@ def _canon(value):
 _CANONICAL_TYPES = frozenset({int, str, type(None)})
 
 
+def _counts(items) -> dict:
+    """Counts in a plain dict, whose == runs in C; Counter's walks keys in Python."""
+    return dict(Counter(items))
+
+
 def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     """Equality of canonical cells: positional when either side's order is
     significant, multiset otherwise. Column labels are ignored.
@@ -248,10 +267,9 @@ def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
     """
     if len(a.columns) != len(b.columns) or len(a.rows) != len(b.rows):
         return False
-    rows_a, rows_b = a.canonical_rows, b.canonical_rows
     if a.order_significant or b.order_significant:
-        return rows_a == rows_b
-    return Counter(rows_a) == Counter(rows_b)
+        return a.canonical_rows == b.canonical_rows
+    return a.row_counts == b.row_counts
 
 
 def results_equal_relaxed(a: ExecutionResult, b: ExecutionResult) -> bool:
@@ -267,21 +285,25 @@ def results_equal_relaxed(a: ExecutionResult, b: ExecutionResult) -> bool:
     """
     if len(a.rows) != len(b.rows):
         return False
+    if len(a.columns) == len(b.columns) and results_equal(a, b):
+        return True  # the identity mapping
     narrow, wide = (a, b) if len(a.columns) <= len(b.columns) else (b, a)
     if not narrow.columns:
         return not wide.columns
     if not narrow.rows:
         return True
     ordered = a.order_significant or b.order_significant
-    narrow_rows, wide_rows = narrow.canonical_rows, wide.canonical_rows
-    narrow_columns, wide_columns = list(zip(*narrow_rows)), list(zip(*wide_rows))
-
-    signature = tuple if ordered else Counter
-    wide_signatures = [signature(column) for column in wide_columns]
-    choices = []
-    for column in narrow_columns:
-        narrow_signature = signature(column)
-        choices.append([j for j, sig in enumerate(wide_signatures) if sig == narrow_signature])
+    narrow_columns, wide_columns = narrow.canonical_columns, wide.canonical_columns
+    # A column's signature is its value sequence when order counts, and its
+    # value counts otherwise.
+    if ordered:
+        narrow_signatures, wide_signatures = narrow_columns, wide_columns
+    else:
+        narrow_signatures, wide_signatures = narrow.column_counts, wide.column_counts
+    choices = [
+        [j for j, sig in enumerate(wide_signatures) if sig == narrow_signature]
+        for narrow_signature in narrow_signatures
+    ]
     # Narrow columns with equal signatures share their choices, and each
     # group needs a wide column per member.
     for group, need in Counter(map(tuple, choices)).items():
@@ -295,12 +317,12 @@ def results_equal_relaxed(a: ExecutionResult, b: ExecutionResult) -> bool:
     # multiset of narrow rows projected onto the first d + 1 of them.
     order = sorted(range(len(choices)), key=lambda i: len(choices[i]))
     targets = []
-    prefix: list[tuple] = [()] * len(narrow_rows)
+    prefix: list[tuple] = [()] * len(narrow.rows)
     for i in order:
         prefix = [p + (v,) for p, v in zip(prefix, narrow_columns[i])]
-        targets.append(Counter(prefix))
+        targets.append(_counts(prefix))
     return _extend_mapping(
-        [()] * len(wide_rows), [], [choices[i] for i in order], wide_columns, targets
+        [()] * len(wide.rows), [], [choices[i] for i in order], wide_columns, targets
     )
 
 
@@ -309,7 +331,7 @@ def _extend_mapping(
     chosen: list[int],
     choices: list[list[int]],
     wide_columns: list[tuple],
-    targets: list[Counter],
+    targets: list[dict],
 ) -> bool:
     """Extend a partial column mapping depth first.
 
@@ -327,7 +349,7 @@ def _extend_mapping(
             continue  # an identical column was already tried at this depth
         tried.add(column)
         projected = [p + (v,) for p, v in zip(prefix, column)]
-        if Counter(projected) == targets[depth]:
+        if _counts(projected) == targets[depth]:
             chosen.append(j)
             if _extend_mapping(projected, chosen, choices, wide_columns, targets):
                 return True
@@ -353,21 +375,13 @@ def _encode(cell) -> str:
     return f"t:{cell}"
 
 
-def _sort_position(cell):
-    """NULL first, then numbers by value, then everything else by its text."""
-    if cell is None:
-        return (0, 0)
-    if isinstance(cell, (int, float)):
-        return (1, cell)
-    return (2, _encode(cell))
-
-
 def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
     """A comparable token: two results with columns get equal tokens exactly
     when they are results_equal and share the order flag.
 
     Error and timeout outcomes map to reserved tokens keyed by kind alone.
-    Rows are sorted into the token unless order is significant.
+    Each row is encoded once, and unless order is significant the rows are
+    sorted by their encoded text.
     """
     if isinstance(outcome, ExecutionResult):
         outcome = ExecutionOutcome.ok(outcome)
@@ -377,9 +391,8 @@ def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
         return "!timeout"
     result = outcome.result
     assert result is not None
-    rows = result.canonical_rows
+    encoded = ["|".join(map(_encode, row)) for row in result.canonical_rows]
     if not result.order_significant:
-        rows = sorted(rows, key=lambda row: tuple(map(_sort_position, row)))
-    encoded = ";".join("|".join(map(_encode, row)) for row in rows)
+        encoded.sort()
     flag = "o" if result.order_significant else "u"
-    return f"ok:{len(result.columns)}:{flag}:{encoded}"
+    return f"ok:{len(result.columns)}:{flag}:{';'.join(encoded)}"

@@ -20,12 +20,15 @@ class TableData:
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(
-                    f"row {i} of {self.table_name!r} has {len(row)} cells, expected {width}"
-                )
+        check_row_widths(self.rows, len(self.columns), f" of {self.table_name!r}")
+
+
+def check_row_widths(rows: tuple[Row, ...], width: int, where: str = "") -> None:
+    """Raise ValueError naming the first row that does not hold `width` cells.
+    When every row fits this is one pass over the row lengths in C."""
+    if rows and set(map(len, rows)) != {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValueError(f"row {i}{where} has {len(rows[i])} cells, expected {width}")
 
 
 @dataclass(frozen=True)

@@ -489,3 +489,23 @@ def test_prune_keeps_and_targets_cte_aggregate(student_instance):
     pruned, targets = prune_schema(student_instance, sqls)
     assert pruned.schema.table("student").column_names() == ("name", "age")
     assert targets == {("student", "age")}
+
+
+def test_prune_projection_matches_per_cell_projection(student_instance, chain_instance):
+    """Kept tables equal the per-cell projection of their source rows, and a
+    table that keeps every column keeps its row tuples."""
+    cases = [
+        (student_instance, "SELECT age, name FROM student"),
+        (student_instance, "SELECT s.*, e.grade FROM student s JOIN enrollment e ON s.student_id = e.student_id"),
+        (chain_instance, "SELECT gval FROM grandchild JOIN child ON grandchild.cid = child.cid"),
+        (chain_instance, "SELECT * FROM parent"),
+    ]
+    for original, sql in cases:
+        out, _targets = prune_schema(original, [sql])
+        for table in out.schema.tables:
+            source = original.data_for(table.name)
+            idxs = [source.columns.index(c) for c in table.column_names()]
+            pruned = out.data_for(table.name).rows
+            assert pruned == tuple(tuple(row[i] for i in idxs) for row in source.rows)
+            if len(idxs) == len(source.columns):
+                assert pruned is source.rows

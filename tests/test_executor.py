@@ -626,3 +626,54 @@ def test_rounded_projection_matches_reference(r, rng):
         same_order = ExecutionResult(r.columns, tuple(tuple(map(_rounded, row)) for row in r.rows), r.order_significant)
         assert results_equal(r, same_order) and exact_equal_reference(r, same_order)
         assert result_canonical_key(r) == result_canonical_key(same_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_results(), st.data())
+def test_equal_width_equality_implies_relaxed(a, data):
+    """For equal widths, results_equal implies results_equal_relaxed, and the
+    relaxed answer agrees with the reference either way."""
+    width = len(a.columns)
+    if data.draw(st.booleans()):
+        # A twin: floats rounded and, unless order counts, rows permuted.
+        rows = [tuple(map(_rounded, row)) for row in a.rows]
+        if not a.order_significant:
+            rows = data.draw(st.permutations(rows))
+        b = ExecutionResult(a.columns, tuple(rows), a.order_significant)
+    else:
+        rows = data.draw(st.lists(st.tuples(*[safe_cells] * width), max_size=4))
+        b = ExecutionResult(a.columns, tuple(rows), data.draw(st.booleans()))
+    if results_equal(a, b):
+        assert results_equal_relaxed(a, b) and results_equal_relaxed(b, a)
+    assert results_equal_relaxed(a, b) == relaxed_equal_reference(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_results(), st.data())
+def test_unordered_canonical_key_ignores_row_permutation(r, data):
+    unordered = ExecutionResult(r.columns, r.rows, False)
+    permuted = ExecutionResult(r.columns, tuple(data.draw(st.permutations(r.rows))), False)
+    assert result_canonical_key(permuted) == result_canonical_key(unordered)
+
+
+def test_canonical_rows_are_the_rows_when_every_cell_is_canonical():
+    result = res([[1, "a"], [None, 2**60]])
+    assert result.canonical_rows is result.rows
+    mixed = res([[1, "a"], [1.5, None]])
+    assert mixed.canonical_rows is not mixed.rows
+    assert mixed.canonical_rows[0] is mixed.rows[0]
+
+
+def test_cached_multisets_are_computed_once():
+    result = res([[1.0, "a"], [1, "a"], [True, None]])
+    assert type(result.row_counts) is dict
+    assert result.row_counts == {(1, "a"): 2, (("b", True), None): 1}
+    assert result.canonical_columns == [(1, 1, ("b", True)), ("a", "a", None)]
+    assert result.column_counts == [{1: 2, ("b", True): 1}, {"a": 2, None: 1}]
+    assert result.cell_types == {float, int, str, bool, type(None)}
+    cached = ("cell_types", "row_counts", "canonical_columns", "column_counts")
+    for name in cached:
+        assert getattr(result, name) is getattr(result, name)
+    # The caches are not fields: equality and repr see the rows alone.
+    assert result == res([[1.0, "a"], [1, "a"], [True, None]])
+    assert not any(name in repr(result) for name in cached)

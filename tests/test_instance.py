@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlrerank.errors import MalformedDatabase
+from sqlrerank.executor import ExecutionResult
 from sqlrerank.instance import (
     DatabaseInstance,
     TableData,
@@ -150,3 +151,13 @@ def test_json_round_trip_property(rows):
 def test_composite_junction_round_trip(junction_instance):
     assert instance_from_json(instance_to_json(junction_instance)) == junction_instance
     assert foreign_key_violations(junction_instance) == []
+
+
+def test_row_width_checks_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^row 1 of 't' has 1 cells, expected 2$"):
+        TableData("t", ("a", "b"), ((1, 2), (3,), (4, 5, 6)))
+    with pytest.raises(ValueError, match=r"^row 0 has 1 cells, expected 2$"):
+        ExecutionResult(("a", "b"), ((1,),))
+    # Zero columns and no rows are both fine.
+    TableData("t", (), ((), ()))
+    ExecutionResult(("a",), ())
