@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
@@ -62,15 +63,19 @@ class Originals:
     loaded once into a `LoadedCopy` that entry sessions start from. Overrides
     change declared types, and so the affinity rows get on insert, which is
     why a copy belongs to the pair and not to the file. Failures are kept
-    too, so each entry on a broken file reports the same error. Safe to share
-    between threads: the cache is filled under a lock, so no file is read or
-    loaded twice. `close` releases the copies.
+    too, so each entry on a broken file reports the same error. Given the
+    run's entries, `release` frees a pair's copy once its last entry has
+    finished, and a file's instance once no remaining entry reads it. Safe
+    to share between threads: the cache is filled and emptied under a lock,
+    so no file is read or loaded twice. `close` releases the copies.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, entries: list[CorpusEntry] = ()) -> None:
         self._lock = threading.Lock()
         self._instances: dict[str, DatabaseInstance | str] = {}
         self._copies: dict[tuple, LoadedCopy | str] = {}
+        # Entries yet to finish, by pair and by file.
+        self._left = Counter(map(_pair, entries)) + Counter(e.db_file for e in entries)
 
     def __enter__(self) -> Originals:
         return self
@@ -87,7 +92,7 @@ class Originals:
 
     def session(self, entry: CorpusEntry) -> Session:
         """A session on the entry's original; raises what loading it raised."""
-        key = (entry.db_file, tuple(sorted(entry.type_overrides.items())))
+        key = _pair(entry)
         with self._lock:
             copy = self._copies.get(key)
             if copy is None:
@@ -95,6 +100,18 @@ class Originals:
         if isinstance(copy, str):
             raise SqlRerankError(copy)
         return copy.session()
+
+    def release(self, entry: CorpusEntry) -> None:
+        """Record that `entry` has finished."""
+        key = _pair(entry)
+        with self._lock:
+            self._left.subtract((key, entry.db_file))
+            if self._left[key] <= 0:
+                copy = self._copies.pop(key, None)
+                if isinstance(copy, LoadedCopy):
+                    copy.close()
+            if self._left[entry.db_file] <= 0:
+                self._instances.pop(entry.db_file, None)
 
     def _load(self, entry: CorpusEntry) -> LoadedCopy | str:
         db = self._instances.get(entry.db_file)
@@ -106,6 +123,10 @@ class Originals:
             return LoadedCopy(apply_type_overrides(db, entry.type_overrides))
         except Exception as exc:  # recorded per entry, as a read failure is
             return str(exc)
+
+
+def _pair(entry: CorpusEntry) -> tuple:
+    return entry.db_file, tuple(sorted(entry.type_overrides.items()))
 
 
 def _read_or_error(db_file: str) -> DatabaseInstance | str:
@@ -212,10 +233,13 @@ def evaluate_corpus(
 ) -> EvalReport:
     if gate not in ("paper", "none"):
         raise ValueError(f"unknown gate {gate!r}")
-    with Originals() as originals:
+    with Originals(entries) as originals:
 
         def _evaluate(entry: CorpusEntry) -> EntryReport:
-            return evaluate_entry(entry, oracle_factory, config, gate, base_seed, originals)
+            try:
+                return evaluate_entry(entry, oracle_factory, config, gate, base_seed, originals)
+            finally:
+                originals.release(entry)
 
         if workers > 1 and entries:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -66,6 +66,15 @@ class ExecutionResult:
     def column_counts(self) -> list[dict]:
         return [_counts(column) for column in self.canonical_columns]
 
+    @cached_property
+    def canonical_key(self) -> str:
+        """See `result_canonical_key`."""
+        encoded = ["|".join(map(_encode, row)) for row in self.canonical_rows]
+        if not self.order_significant:
+            encoded.sort()
+        flag = "o" if self.order_significant else "u"
+        return f"ok:{len(self.columns)}:{flag}:{';'.join(encoded)}"
+
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -110,6 +119,14 @@ class Session:
     instance again. A session may be made in any thread, but once loaded it
     belongs to the thread that loaded it. Run statements through
     `execute(session, sql)`.
+
+    A session started from a copy also memoizes by compiled program (order
+    flag and `EXPLAIN` listing, plus the text where EXPLAIN prints an operand
+    lossily or fails), so a new spelling of a statement it ran is not run.
+    As EXPLAIN costs about a small statement, keying starts once a statement
+    runs a progress step, and covers the statements run so far. A shared
+    outcome carries the first spelling's column labels; plain sessions,
+    whose labels `render_answer` reads, memoize per text only.
     """
 
     def __init__(self, db: DatabaseInstance, copy: LoadedCopy | None = None):
@@ -117,7 +134,9 @@ class Session:
         self._copy = copy
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
-        self._memo: dict[str, ExecutionOutcome] = {}
+        # Outcomes by SQL text, and by program key once the session keys by it.
+        self._memo: dict[str | tuple, ExecutionOutcome] = {}
+        self._stepped = self._keyed = False
 
     def __enter__(self) -> Session:
         return self
@@ -134,8 +153,17 @@ class Session:
         outcome = self._memo.get(sql)
         if outcome is None:
             conn = self._connection()
-            outcome = self._load_failure if conn is None else self._execute(conn, sql)
+            if conn is None:
+                outcome = self._load_failure
+            else:
+                key = self._program_key(conn, sql)
+                outcome = self._memo.get(key) or self._execute(conn, sql)
+                self._memo.setdefault(key, outcome)
             self._memo[sql] = outcome
+            if self._stepped and not self._keyed and self._copy is not None:
+                self._keyed = True
+                for text, known in list(self._memo.items()):
+                    self._memo.setdefault(self._program_key(conn, text), known)
         return outcome
 
     def _connection(self) -> sqlite3.Connection | None:
@@ -154,12 +182,14 @@ class Session:
             self._conn = conn
         return self._conn
 
-    def _execute(self, conn: sqlite3.Connection, sql: str) -> ExecutionOutcome:
+    def _fetch(self, conn: sqlite3.Connection, sql: str) -> tuple[tuple, list]:
+        """The description and rows of `sql`; raises TimeoutError or SQLite's error."""
         deadline = time.monotonic() + DEFAULT_TIMEOUT
-        timed_out = False
+        timed_out = stepped = False
 
         def _check() -> int:
-            nonlocal timed_out
+            nonlocal timed_out, stepped
+            stepped = True
             if time.monotonic() > deadline:
                 timed_out = True
                 return 1
@@ -168,12 +198,36 @@ class Session:
         conn.set_progress_handler(_check, _PROGRESS_STEP)
         try:
             cursor = conn.execute(sql)
-            rows = cursor.fetchall()
-        except (sqlite3.Error, sqlite3.Warning) as exc:
+            return cursor.description, cursor.fetchall()
+        except (sqlite3.Error, sqlite3.Warning):
             if timed_out:
-                return ExecutionOutcome.timeout()
+                raise TimeoutError from None
+            raise
+        finally:
+            self._stepped |= stepped
+
+    def _program_key(self, conn: sqlite3.Connection, sql: str) -> tuple | str:
+        if not self._keyed:
+            return sql
+        try:
+            description, listing = self._fetch(conn, "EXPLAIN " + sql)
+        except (TimeoutError, sqlite3.Error, sqlite3.Warning):
+            return sql
+        if description[1][0] != "opcode":
+            return sql  # `sql` began with QUERY PLAN, so this was EXPLAIN QUERY PLAN
+        key = (has_top_level_order_by(sql), tuple(listing))
+        # EXPLAIN prints reals with %.16g and blobs up to their first NUL.
+        lossy = any(row[1] in ("Real", "Blob") for row in listing)
+        return key + (sql,) if lossy else key
+
+    def _execute(self, conn: sqlite3.Connection, sql: str) -> ExecutionOutcome:
+        try:
+            description, rows = self._fetch(conn, sql)
+        except TimeoutError:
+            return ExecutionOutcome.timeout()
+        except (sqlite3.Error, sqlite3.Warning) as exc:
             return ExecutionOutcome.sql_error(str(exc))
-        columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
+        columns = tuple(d[0] for d in description) if description else ()
         result = ExecutionResult(columns, tuple(rows), has_top_level_order_by(sql))
         if bytes in result.cell_types:
             # A row holding no bytes is kept as it is.
@@ -381,18 +435,10 @@ def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
 
     Error and timeout outcomes map to reserved tokens keyed by kind alone.
     Each row is encoded once, and unless order is significant the rows are
-    sorted by their encoded text.
+    sorted by their encoded text; a result builds its token once.
     """
-    if isinstance(outcome, ExecutionResult):
-        outcome = ExecutionOutcome.ok(outcome)
-    if outcome.kind is OutcomeKind.SQL_ERROR:
-        return "!error"
-    if outcome.kind is OutcomeKind.TIMEOUT:
-        return "!timeout"
-    result = outcome.result
-    assert result is not None
-    encoded = ["|".join(map(_encode, row)) for row in result.canonical_rows]
-    if not result.order_significant:
-        encoded.sort()
-    flag = "o" if result.order_significant else "u"
-    return f"ok:{len(result.columns)}:{flag}:{';'.join(encoded)}"
+    if isinstance(outcome, ExecutionOutcome):
+        if outcome.kind is not OutcomeKind.OK:
+            return f"!{outcome.kind.value}"
+        outcome = outcome.result
+    return outcome.canonical_key

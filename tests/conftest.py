@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
@@ -71,6 +72,37 @@ def student_instance(student_schema) -> DatabaseInstance:
             "enrollment": [(10, 1, 88), (11, 1, 91), (12, 3, 75)],
         },
     )
+
+
+@pytest.fixture
+def many_students(student_schema) -> DatabaseInstance:
+    """The student schema with enough rows that scanning them runs past a
+    progress-handler step, so a session started from a copy of it keys
+    outcomes by compiled program."""
+    return make_instance(
+        student_schema,
+        {
+            "student": [(i, f"s{i % 37}", 18 + i % 11) for i in range(1, 1201)],
+            "enrollment": [(i, 1 + i * 7 % 1200, 50 + i % 50) for i in range(1, 1001)],
+        },
+    )
+
+
+def record_statements(monkeypatch) -> list[str]:
+    """Record the SQL of every `execute` call on SQLite connections opened
+    from now on, EXPLAINs and statements that fail included."""
+    statements: list[str] = []
+
+    class Recording(sqlite3.Connection):
+        def execute(self, sql, *args):
+            statements.append(sql)
+            return super().execute(sql, *args)
+
+    real_connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *args, **kwargs: real_connect(*args, factory=Recording, **kwargs)
+    )
+    return statements
 
 
 @pytest.fixture

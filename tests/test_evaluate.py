@@ -1,4 +1,5 @@
 import json
+import sys
 import types
 from collections import Counter
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 import sqlrerank.evaluate
 import sqlrerank.executor
 from conftest import make_instance
+from conftest import record_statements
 from sqlrerank.corpus import apply_type_overrides, load_corpus
 from sqlrerank.dbgen import GenConfig, GenMethod
 from sqlrerank.dbio import read_database, write_database
@@ -474,3 +476,131 @@ def test_dump_report_shape(corpus):
     payload = json.loads(text)
     assert "timestamp" not in text
     assert sorted(payload) == list(payload)  # honours sort_keys
+
+
+# --- originals released and spellings run once -------------------------------------
+
+
+def test_evaluate_corpus_releases_a_copy_after_its_last_entry(
+    tmp_path, student_instance, student_schema, monkeypatch
+):
+    write_database(student_instance, str(tmp_path / "s.db"))
+    other = make_instance(student_schema, {"student": [(1, "ann", 30), (5, "eve", 19)]})
+    write_database(other, str(tmp_path / "t.db"))
+    manifest = {
+        "entries": [
+            _entry("a-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)]),
+            _entry("a-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)], gold=GOLD_COUNT),
+            _entry("b-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file="t.db"),
+        ]
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    entries = load_corpus(str(path))
+    alone = build_report([evaluate_entry(e, reference_factory, cfg()) for e in entries])
+
+    events = []
+    file_a = read_database(str(tmp_path / "s.db"))
+    real_close = sqlrerank.executor.LoadedCopy.close
+    real_evaluate_entry = sqlrerank.evaluate.evaluate_entry
+
+    def close(copy):
+        events.append(f"close {'A' if copy.db == file_a else 'B'}")
+        real_close(copy)
+
+    def evaluate_and_log(entry, *args, **kwargs):
+        events.append(f"start {entry.entry_id}")
+        return real_evaluate_entry(entry, *args, **kwargs)
+
+    monkeypatch.setattr(sqlrerank.executor.LoadedCopy, "close", close)
+    monkeypatch.setattr(sqlrerank.evaluate, "evaluate_entry", evaluate_and_log)
+    report = evaluate_corpus(entries, reference_factory, cfg())
+    assert events == ["start a-rerank", "start a-right", "close A", "start b-rerank", "close B"]
+    assert report == alone
+    assert report.error_count == 0 and not by_id(report, "b-rerank").gated_out
+
+
+ADULTS = (
+    "SELECT name, age FROM student WHERE age > 25",
+    "select name, age from student where age > 25",
+    "SELECT s.name AS who, s.age AS years FROM student AS s WHERE s.age > 25",
+    "SELECT student.name, student.age\n  FROM student\n WHERE student.age > 25;",
+)
+
+
+@pytest.mark.parametrize(
+    "gate, expected",
+    [
+        ("paper", dict(gated_out=True)),
+        ("none", dict(skipped_all_same=True)),
+    ],
+)
+def test_evaluate_entry_runs_spellings_of_the_gold_once(
+    tmp_path, many_students, monkeypatch, gate, expected
+):
+    write_database(many_students, str(tmp_path / "s.db"))
+    path = tmp_path / "manifest.json"
+    candidates = [(sql, 0.4 - 0.1 * i) for i, sql in enumerate(ADULTS[1:])]
+    path.write_text(json.dumps({"entries": [_entry("spelled", candidates, gold=ADULTS[0])]}))
+    (entry,) = load_corpus(str(path))
+    statements = record_statements(monkeypatch)
+    report = evaluate_corpus([entry], reference_factory, cfg(), gate=gate)
+    assert [sql for sql in statements if sql in ADULTS] == [ADULTS[0]]
+    assert report.entries == (
+        EntryReport(
+            entry_id="spelled", pre_top1_correct=True, post_top1_correct=True, **expected
+        ),
+    )
+
+
+def test_evaluate_corpus_releases_each_copy_once_under_many_workers(
+    tmp_path, student_instance, student_schema, monkeypatch
+):
+    write_database(student_instance, str(tmp_path / "s.db"))
+    other = make_instance(student_schema, {"student": [(1, "ann", 30), (5, "eve", 19)]})
+    write_database(other, str(tmp_path / "t.db"))
+    rows = []
+    for i in range(12):
+        for db_file in ("s.db", "t.db"):
+            rows.append(_entry(f"{db_file}-{i}", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
+                               gold=GOLD_COUNT, db_file=db_file))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": rows}))
+    entries = load_corpus(str(path))
+    serial = evaluate_corpus(entries, reference_factory, cfg())
+
+    made, closed = [], []
+    real_init = sqlrerank.executor.LoadedCopy.__init__
+    real_close = sqlrerank.executor.LoadedCopy.close
+
+    def init(copy, db):
+        made.append(copy)
+        real_init(copy, db)
+
+    def close(copy):
+        closed.append(copy)
+        real_close(copy)
+
+    # Copies closed when the run's own `close` starts: all of them, if each
+    # was released after its last entry.
+    closed_before_close = []
+    real_originals_close = sqlrerank.evaluate.Originals.close
+
+    def originals_close(originals):
+        closed_before_close.append(len(closed))
+        real_originals_close(originals)
+
+    monkeypatch.setattr(sqlrerank.executor.LoadedCopy, "__init__", init)
+    monkeypatch.setattr(sqlrerank.executor.LoadedCopy, "close", close)
+    monkeypatch.setattr(sqlrerank.evaluate.Originals, "close", originals_close)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = evaluate_corpus(entries, reference_factory, cfg(), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report == serial
+    # One copy per file, each closed once, by its last entry's release.
+    assert len(made) == 2
+    assert sorted(map(id, closed)) == sorted(map(id, made))
+    assert closed_before_close == [2]

@@ -4,6 +4,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from sqlrerank.executor import (
 )
 
 from conftest import make_instance
+from conftest import record_statements
 from refimpl import exact_equal_reference, relaxed_equal_reference
 
 
@@ -294,6 +296,219 @@ def test_loaded_copy_serves_sessions_in_many_threads(student_instance):
     assert failures == []
     assert counts == [((4,),)] * 200
 
+
+# --- program keys on sessions started from a copy ------------------------------
+
+# Eight spellings of one query: case, aliases, qualified names, a comma join,
+# INNER, layout, a trailing `;` and a comment. SQLite compiles them all to
+# one program.
+TOP_GRADES = (
+    "SELECT s.name, e.grade FROM student s JOIN enrollment e"
+    " ON s.student_id = e.student_id WHERE e.grade > 90",
+    "select s.name, e.grade from student s join enrollment e"
+    " on s.student_id = e.student_id where e.grade > 90",
+    "SELECT s.name AS student_name, e.grade AS g FROM student AS s JOIN enrollment AS e"
+    " ON s.student_id = e.student_id WHERE e.grade > 90",
+    "SELECT student.name, enrollment.grade FROM student JOIN enrollment"
+    " ON student.student_id = enrollment.student_id WHERE enrollment.grade > 90",
+    "SELECT s.name, e.grade FROM student s, enrollment e"
+    " WHERE s.student_id = e.student_id AND e.grade > 90",
+    "SELECT s.name, e.grade FROM student s INNER JOIN enrollment e"
+    " ON s.student_id = e.student_id WHERE e.grade > 90;",
+    "SELECT s.name,\n       e.grade\n  FROM student s\n  JOIN enrollment e"
+    " ON s.student_id = e.student_id\n WHERE e.grade > 90",
+    "SELECT s.name, e.grade FROM student s JOIN enrollment e"
+    " ON s.student_id = e.student_id WHERE e.grade > 90  -- top grades",
+)
+# Scans every student, so a copy session keys by program from here on.
+SCAN = "SELECT sum(age) FROM student"
+
+
+def _ran(statements: list[str]) -> list[str]:
+    return [sql for sql in statements if not sql.startswith("EXPLAIN ")]
+
+
+def _explained(statements: list[str]) -> list[str]:
+    return [sql for sql in statements if sql.startswith("EXPLAIN ")]
+
+
+@pytest.fixture
+def many_copy(many_students):
+    copy = LoadedCopy(many_students)
+    yield copy
+    copy.close()
+
+
+def test_copy_session_runs_spellings_of_one_program_once(many_students, many_copy, monkeypatch):
+    with Session(many_students) as plain:
+        expected = execute(plain, TOP_GRADES[0])
+    assert len(expected.result.rows) > 1
+    statements = record_statements(monkeypatch)
+    with many_copy.session() as session:
+        outcomes = [execute(session, sql) for sql in TOP_GRADES]
+    assert _ran(statements) == [TOP_GRADES[0]]
+    assert all(out is outcomes[0] for out in outcomes)
+    assert outcomes[0] == expected
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("SELECT 0.30000000000000004", "SELECT 0.3"),
+        ("SELECT -0.0", "SELECT 0.0"),
+        ("SELECT x'410001'", "SELECT x'410002'"),
+        ("SELECT max(age) * 0.30000000000000004 FROM student",
+         "SELECT max(age) * 0.3 FROM student"),
+    ],
+)
+def test_copy_session_keeps_lossily_listed_literals_apart(
+    many_students, many_copy, pair, monkeypatch
+):
+    with Session(many_students) as plain:
+        expected = [execute(plain, sql) for sql in pair]
+    statements = record_statements(monkeypatch)
+    with many_copy.session() as session:
+        execute(session, SCAN)
+        outcomes = [execute(session, sql) for sql in pair]
+    assert _ran(statements) == [SCAN, *pair]
+    assert outcomes == expected
+    # repr tells -0.0 from 0.0, which == does not.
+    first, second = (repr(out.result.rows) for out in outcomes)
+    assert first != second
+
+
+def test_copy_session_keeps_each_order_flag(many_students, many_copy):
+    ordered, unordered = "SELECT name FROM student ORDER BY rowid", "SELECT name FROM student"
+    with many_copy.session() as session, Session(many_students) as plain:
+        execute(session, SCAN)
+        for sql in (ordered, unordered, ordered):
+            assert execute(session, sql) == execute(plain, sql)
+        assert execute(session, ordered).result.order_significant
+        assert not execute(session, unordered).result.order_significant
+
+
+def test_order_flag_is_part_of_the_program_key(many_copy, monkeypatch):
+    """Where ORDER BY compiles to the same program as none (it may, on an
+    INTEGER PRIMARY KEY), the flag alone tells the statements apart; here a
+    comment stands in for the ORDER BY."""
+    monkeypatch.setattr(
+        sqlrerank.executor, "has_top_level_order_by", lambda sql: sql.endswith("-- ordered")
+    )
+    with many_copy.session() as session:
+        execute(session, SCAN)
+        unordered = execute(session, "SELECT name FROM student")
+        ordered = execute(session, "SELECT name FROM student -- ordered")
+    assert ordered.result.rows == unordered.result.rows
+    assert ordered.result.order_significant and not unordered.result.order_significant
+
+
+def test_copy_session_errors_match_a_plain_session(many_students, many_copy):
+    statements = (
+        "SELECT ghost FROM student",
+        "select ghost from student",
+        "SELECT ghost FROM student;",
+        "DELETE FROM student",
+        "delete from student",
+        "PRAGMA query_only=0",
+        "SELECT 1; SELECT 2",
+        "select 1;select 2",
+        "SELECT abs(-9223372036854775807 - 1) FROM student",
+        "SELECT abs(-9223372036854775807 - 1) FROM student s",
+        "QUERY PLAN SELECT name FROM student",
+        "query plan select name from student",
+        "",
+        "SELECT 'a\x00b'",
+    )
+    with many_copy.session() as session, Session(many_students) as plain:
+        execute(session, SCAN)
+        for sql in statements:
+            got, want = execute(session, sql), execute(plain, sql)
+            assert got == want, sql
+    assert execute(plain, "DELETE FROM student").message == "not authorized"
+    assert execute(plain, "SELECT count(*) FROM student").result.rows == ((1200,),)
+
+
+def test_plain_and_stepless_sessions_run_no_explain(
+    many_students, student_instance, many_copy, monkeypatch
+):
+    queries = (SCAN, *TOP_GRADES)
+    small_copy = LoadedCopy(student_instance)
+    statements = record_statements(monkeypatch)
+    try:
+        # A plain session whose statements step, then a copy session whose
+        # statements never do: each runs every spelling.
+        with Session(many_students) as plain, small_copy.session() as stepless:
+            for session in (plain, stepless):
+                for sql in queries:
+                    execute(session, sql)
+    finally:
+        small_copy.close()
+    assert [sql for sql in statements if sql in queries] == [*queries, *queries]
+    assert _explained(statements) == []
+    # A copy session on the large instance explains what it has run once a
+    # statement steps.
+    with many_copy.session() as session:
+        execute(session, "SELECT 1")
+        execute(session, SCAN)
+    assert _explained(statements) == ["EXPLAIN SELECT 1", f"EXPLAIN {SCAN}"]
+
+
+def test_shared_outcome_keeps_the_first_statements_labels(many_students, many_copy):
+    first, second = (
+        f"SELECT name AS {label} FROM student WHERE age > 25" for label in ("first", "second")
+    )
+    with many_copy.session() as session:
+        execute(session, SCAN)
+        shared = execute(session, first)
+        assert execute(session, second) is shared
+    assert shared.result.columns == ("first",)
+    # Plain sessions, whose labels render answers, keep each statement's own.
+    with Session(many_students) as plain:
+        execute(plain, SCAN)
+        execute(plain, first)
+        assert execute(plain, second).result.columns == ("second",)
+
+
+_LITERALS = (
+    "25", "25.0", "25.000000000000004", "0.3", "0.30000000000000004", "-0.0", "0.0",
+    "x'410001'", "x'410002'", "'s5'", "NULL",
+)
+_SHAPES = (
+    "SELECT name, age FROM student WHERE age > {}",
+    "select s.name AS n, s.age FROM student s where s.age > {}",
+    "SELECT {}, count(*) FROM student",
+    "SELECT {} AS v FROM student WHERE student_id < 3",
+    "SELECT age FROM student WHERE name = {} ORDER BY age",
+    "SELECT age FROM student WHERE name = {}",
+    "SELECT s.name FROM student s JOIN enrollment e ON s.student_id = e.student_id"
+    " WHERE e.grade > {}",
+    "SELECT student.name FROM student, enrollment"
+    " WHERE student.student_id = enrollment.student_id AND enrollment.grade > {}",
+    "SELECT ghost FROM student WHERE age > {}",
+    "SELECT {}; SELECT 2",
+    "DELETE FROM student WHERE age > {}",
+)
+spelled_sql = st.builds(
+    lambda shape, literal, tail: shape.format(literal) + tail,
+    st.sampled_from(_SHAPES),
+    st.sampled_from(_LITERALS),
+    st.sampled_from(("", ";", "\n", "  -- c")),
+)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(spelled_sql, min_size=1, max_size=8))
+def test_copy_session_outcomes_agree_with_plain_sessions(many_students, many_copy, statements):
+    with many_copy.session() as session, Session(many_students) as plain:
+        for sql in statements:
+            got, want = execute(session, sql), execute(plain, sql)
+            assert (got.kind, got.message) == (want.kind, want.message)
+            assert result_canonical_key(got) == result_canonical_key(want)
+            if want.result is not None:
+                assert got.result.order_significant == want.result.order_significant
+                assert results_equal(got.result, want.result)
 
 # --- exact comparison -----------------------------------------------------------
 
