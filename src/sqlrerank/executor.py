@@ -156,14 +156,17 @@ class Session:
             if conn is None:
                 outcome = self._load_failure
             else:
-                key = self._program_key(conn, sql)
-                outcome = self._memo.get(key) or self._execute(conn, sql)
+                ordered = has_top_level_order_by(sql)
+                key = self._program_key(conn, sql, ordered)
+                outcome = self._memo.get(key) or self._execute(conn, sql, ordered)
                 self._memo.setdefault(key, outcome)
             self._memo[sql] = outcome
             if self._stepped and not self._keyed and self._copy is not None:
                 self._keyed = True
                 for text, known in list(self._memo.items()):
-                    self._memo.setdefault(self._program_key(conn, text), known)
+                    result = known.result
+                    ordered = result.order_significant if result else has_top_level_order_by(text)
+                    self._memo.setdefault(self._program_key(conn, text, ordered), known)
         return outcome
 
     def _connection(self) -> sqlite3.Connection | None:
@@ -185,11 +188,11 @@ class Session:
     def _fetch(self, conn: sqlite3.Connection, sql: str) -> tuple[tuple, list]:
         """The description and rows of `sql`; raises TimeoutError or SQLite's error."""
         deadline = time.monotonic() + DEFAULT_TIMEOUT
-        timed_out = stepped = False
+        timed_out = False
 
         def _check() -> int:
-            nonlocal timed_out, stepped
-            stepped = True
+            nonlocal timed_out
+            self._stepped = True
             if time.monotonic() > deadline:
                 timed_out = True
                 return 1
@@ -203,10 +206,8 @@ class Session:
             if timed_out:
                 raise TimeoutError from None
             raise
-        finally:
-            self._stepped |= stepped
 
-    def _program_key(self, conn: sqlite3.Connection, sql: str) -> tuple | str:
+    def _program_key(self, conn: sqlite3.Connection, sql: str, ordered: bool) -> tuple | str:
         if not self._keyed:
             return sql
         try:
@@ -215,12 +216,11 @@ class Session:
             return sql
         if description[1][0] != "opcode":
             return sql  # `sql` began with QUERY PLAN, so this was EXPLAIN QUERY PLAN
-        key = (has_top_level_order_by(sql), tuple(listing))
         # EXPLAIN prints reals with %.16g and blobs up to their first NUL.
         lossy = any(row[1] in ("Real", "Blob") for row in listing)
-        return key + (sql,) if lossy else key
+        return (ordered, tuple(listing)) + ((sql,) if lossy else ())
 
-    def _execute(self, conn: sqlite3.Connection, sql: str) -> ExecutionOutcome:
+    def _execute(self, conn: sqlite3.Connection, sql: str, ordered: bool) -> ExecutionOutcome:
         try:
             description, rows = self._fetch(conn, sql)
         except TimeoutError:
@@ -228,7 +228,7 @@ class Session:
         except (sqlite3.Error, sqlite3.Warning) as exc:
             return ExecutionOutcome.sql_error(str(exc))
         columns = tuple(d[0] for d in description) if description else ()
-        result = ExecutionResult(columns, tuple(rows), has_top_level_order_by(sql))
+        result = ExecutionResult(columns, tuple(rows), ordered)
         if bytes in result.cell_types:
             # A row holding no bytes is kept as it is.
             normalized = tuple(

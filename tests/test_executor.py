@@ -402,6 +402,19 @@ def test_order_flag_is_part_of_the_program_key(many_copy, monkeypatch):
     assert ordered.result.order_significant and not unordered.result.order_significant
 
 
+def test_timed_out_ordered_statement_is_not_run_again(many_copy, monkeypatch):
+    """A timeout is the first progress step, so the session starts keying on
+    it; an outcome without a result is keyed by its text's order flag, and
+    another spelling of the ordered statement finds it."""
+    monkeypatch.setattr(sqlrerank.executor, "DEFAULT_TIMEOUT", 0)
+    spellings = ["SELECT name FROM student ORDER BY name", "select name from student order by name"]
+    statements = record_statements(monkeypatch)
+    with many_copy.session() as session:
+        outcomes = [execute(session, sql) for sql in spellings]
+    assert _ran(statements) == spellings[:1]
+    assert outcomes[0].kind is outcomes[1].kind is OutcomeKind.TIMEOUT
+
+
 def test_copy_session_errors_match_a_plain_session(many_students, many_copy):
     statements = (
         "SELECT ghost FROM student",
