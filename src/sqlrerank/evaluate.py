@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from typing import Any, Callable
 
 from .corpus import CorpusEntry, apply_type_overrides
 from .dbio import read_database
 from .errors import SqlRerankError
-from .executor import LoadedCopy, OutcomeKind, Session, execute, results_equal_relaxed
+from .executor import OutcomeKind, Session, execute, results_equal_relaxed
 from .instance import DatabaseInstance
 from .suite import RerankOutcome, SuiteConfig, select_best
 
@@ -57,25 +56,25 @@ def entry_seed(base_seed: int, entry_id: str) -> int:
 
 
 class Originals:
-    """The original databases of one corpus run, shared by its entries.
+    """The original databases of a corpus run, one file and one pair at a time.
 
-    Each database file is read once, and each (file, type overrides) pair is
-    loaded once into a `LoadedCopy` that entry sessions start from. Overrides
-    change declared types, and so the affinity rows get on insert, which is
-    why a copy belongs to the pair and not to the file. Failures are kept
-    too, so each entry on a broken file reports the same error. Given the
-    run's entries, `release` frees a pair's copy once its last entry has
-    finished, and a file's instance once no remaining entry reads it. Safe
-    to share between threads: the cache is filled and emptied under a lock,
-    so no file is read or loaded twice. `close` releases the copies.
+    A file is read once for its entries, and each (file, type overrides)
+    pair gets one `Session`, made `by_program`, that every entry of the pair
+    shares: it loads once and keeps one outcome memo, by text and by
+    compiled program, so a statement another entry ran is not run again, an
+    error or timeout included. Overrides change declared types, and so the
+    affinity rows get on insert, which is why a session belongs to the pair
+    and not to the file. Failures are kept too, so each entry on a broken
+    file reports the same error. Only the latest file and pair are held:
+    another pair closes the session before it, and another file drops the
+    instance, so keep each pair's entries together, as `evaluate_corpus`
+    does. A session belongs to the thread that loaded it, so use one
+    `Originals` per thread. `close` closes the open session.
     """
 
-    def __init__(self, entries: list[CorpusEntry] = ()) -> None:
-        self._lock = threading.Lock()
-        self._instances: dict[str, DatabaseInstance | str] = {}
-        self._copies: dict[tuple, LoadedCopy | str] = {}
-        # Entries yet to finish, by pair and by file.
-        self._left = Counter(map(_pair, entries)) + Counter(e.db_file for e in entries)
+    def __init__(self) -> None:
+        self._file: tuple[str, DatabaseInstance | str] | None = None
+        self._pair: tuple[tuple, Session | str] | None = None
 
     def __enter__(self) -> Originals:
         return self
@@ -84,43 +83,30 @@ class Originals:
         self.close()
 
     def close(self) -> None:
-        with self._lock:
-            for copy in self._copies.values():
-                if isinstance(copy, LoadedCopy):
-                    copy.close()
-            self._copies.clear()
+        if self._pair is not None and isinstance(self._pair[1], Session):
+            self._pair[1].close()
+        self._pair = None
 
     def session(self, entry: CorpusEntry) -> Session:
-        """A session on the entry's original; raises what loading it raised."""
+        """The session on the entry's original; raises what loading it raised."""
         key = _pair(entry)
-        with self._lock:
-            copy = self._copies.get(key)
-            if copy is None:
-                copy = self._copies[key] = self._load(entry)
-        if isinstance(copy, str):
-            raise SqlRerankError(copy)
-        return copy.session()
+        if self._pair is None or self._pair[0] != key:
+            self.close()
+            self._pair = key, self._open(entry)
+        session = self._pair[1]
+        if isinstance(session, str):
+            raise SqlRerankError(session)
+        return session
 
-    def release(self, entry: CorpusEntry) -> None:
-        """Record that `entry` has finished."""
-        key = _pair(entry)
-        with self._lock:
-            self._left.subtract((key, entry.db_file))
-            if self._left[key] <= 0:
-                copy = self._copies.pop(key, None)
-                if isinstance(copy, LoadedCopy):
-                    copy.close()
-            if self._left[entry.db_file] <= 0:
-                self._instances.pop(entry.db_file, None)
-
-    def _load(self, entry: CorpusEntry) -> LoadedCopy | str:
-        db = self._instances.get(entry.db_file)
-        if db is None:
-            db = self._instances[entry.db_file] = _read_or_error(entry.db_file)
+    def _open(self, entry: CorpusEntry) -> Session | str:
+        if self._file is None or self._file[0] != entry.db_file:
+            self._file = None  # the instance before is dropped before the read
+            self._file = entry.db_file, _read_or_error(entry.db_file)
+        db = self._file[1]
         if isinstance(db, str):
             return db
         try:
-            return LoadedCopy(apply_type_overrides(db, entry.type_overrides))
+            return Session(apply_type_overrides(db, entry.type_overrides), by_program=True)
         except Exception as exc:  # recorded per entry, as a read failure is
             return str(exc)
 
@@ -145,7 +131,8 @@ def evaluate_entry(
     originals: Originals | None = None,
 ) -> EntryReport:
     """Evaluate one entry on its original from `originals`, the ones a
-    corpus run shares, or from originals of its own when none are given."""
+    corpus run shares, or from originals of its own when none are given.
+    The session it is handed stays open for the pair's next entry."""
     if entry.gold_sql is None:
         return EntryReport(entry_id=entry.entry_id, error="missing gold_sql", tags=entry.tags)
     if originals is None:
@@ -158,69 +145,68 @@ def evaluate_entry(
 
     # One session on the original database serves the gold run, both top-1
     # checks, the gate and the re-rank.
-    with session:
-        gold_outcome = execute(session, entry.gold_sql)
-        if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
-            return EntryReport(
-                entry_id=entry.entry_id,
-                error=f"gold execution: {gold_outcome.kind.value} {gold_outcome.message}".strip(),
-                tags=entry.tags,
+    gold_outcome = execute(session, entry.gold_sql)
+    if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
+        return EntryReport(
+            entry_id=entry.entry_id,
+            error=f"gold execution: {gold_outcome.kind.value} {gold_outcome.message}".strip(),
+            tags=entry.tags,
+        )
+    gold_result = gold_outcome.result
+
+    verdicts: dict[str, bool] = {}  # each candidate SQL is compared once
+
+    def _correct(sql: str) -> bool:
+        if sql not in verdicts:
+            outcome = execute(session, sql)
+            verdicts[sql] = (
+                outcome.kind is OutcomeKind.OK
+                and outcome.result is not None
+                and results_equal_relaxed(outcome.result, gold_result)
             )
-        gold_result = gold_outcome.result
+        return verdicts[sql]
 
-        verdicts: dict[str, bool] = {}  # each candidate SQL is compared once
+    candidates = list(entry.candidates)
+    pre_correct = _correct(candidates[0].sql)
 
-        def _correct(sql: str) -> bool:
-            if sql not in verdicts:
-                outcome = execute(session, sql)
-                verdicts[sql] = (
-                    outcome.kind is OutcomeKind.OK
-                    and outcome.result is not None
-                    and results_equal_relaxed(outcome.result, gold_result)
-                )
-            return verdicts[sql]
-
-        candidates = list(entry.candidates)
-        pre_correct = _correct(candidates[0].sql)
-
-        if gate == "paper":
-            flags = [_correct(c.sql) for c in candidates]
-            if not any(flags) or all(flags):
-                return EntryReport(
-                    entry_id=entry.entry_id,
-                    pre_top1_correct=pre_correct,
-                    post_top1_correct=pre_correct,
-                    gated_out=True,
-                    tags=entry.tags,
-                )
-
-        seed = entry_seed(base_seed, entry.entry_id)
-        seeded = replace(config, gen=replace(config.gen, seed=seed))
-        oracle = oracle_factory(entry)
-        try:
-            outcome: RerankOutcome = select_best(
-                session, entry.question, candidates, seeded, oracle
-            )
-        except Exception as exc:
+    if gate == "paper":
+        flags = [_correct(c.sql) for c in candidates]
+        if not any(flags) or all(flags):
             return EntryReport(
                 entry_id=entry.entry_id,
                 pre_top1_correct=pre_correct,
-                error=f"select_best: {exc}",
+                post_top1_correct=pre_correct,
+                gated_out=True,
                 tags=entry.tags,
             )
-        post_correct = _correct(outcome.ranked[0].sql)
-        suite = outcome.suite
+
+    seed = entry_seed(base_seed, entry.entry_id)
+    seeded = replace(config, gen=replace(config.gen, seed=seed))
+    oracle = oracle_factory(entry)
+    try:
+        outcome: RerankOutcome = select_best(
+            session, entry.question, candidates, seeded, oracle
+        )
+    except Exception as exc:
         return EntryReport(
             entry_id=entry.entry_id,
             pre_top1_correct=pre_correct,
-            post_top1_correct=post_correct,
-            skipped_all_same=outcome.skipped_all_same,
-            distinguished=suite.distinguished,
-            suite_size=len(suite.cases),
-            oracle_calls=suite.attempts - suite.dropped_duplicate,
-            oracle_unavailable=suite.dropped_unavailable,
+            error=f"select_best: {exc}",
             tags=entry.tags,
         )
+    post_correct = _correct(outcome.ranked[0].sql)
+    suite = outcome.suite
+    return EntryReport(
+        entry_id=entry.entry_id,
+        pre_top1_correct=pre_correct,
+        post_top1_correct=post_correct,
+        skipped_all_same=outcome.skipped_all_same,
+        distinguished=suite.distinguished,
+        suite_size=len(suite.cases),
+        oracle_calls=suite.attempts - suite.dropped_duplicate,
+        oracle_unavailable=suite.dropped_unavailable,
+        tags=entry.tags,
+    )
 
 
 def evaluate_corpus(
@@ -233,20 +219,27 @@ def evaluate_corpus(
 ) -> EvalReport:
     if gate not in ("paper", "none"):
         raise ValueError(f"unknown gate {gate!r}")
-    with Originals(entries) as originals:
+    # Entries by file, in order of first appearance, then by pair: a file's
+    # entries run on one thread, pair after pair, in corpus order within a
+    # pair. The reports go back in corpus order.
+    files: dict[str, dict[tuple, list[int]]] = {}
+    for i, entry in enumerate(entries):
+        files.setdefault(entry.db_file, {}).setdefault(_pair(entry), []).append(i)
 
-        def _evaluate(entry: CorpusEntry) -> EntryReport:
-            try:
-                return evaluate_entry(entry, oracle_factory, config, gate, base_seed, originals)
-            finally:
-                originals.release(entry)
+    def _evaluate_file(pairs: dict[tuple, list[int]]) -> list[tuple[int, EntryReport]]:
+        with Originals() as originals:
+            return [
+                (i, evaluate_entry(entries[i], oracle_factory, config, gate, base_seed, originals))
+                for group in pairs.values()
+                for i in group
+            ]
 
-        if workers > 1 and entries:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_evaluate, entries))
-        else:
-            reports = [_evaluate(entry) for entry in entries]
-    return build_report(reports)
+    if workers > 1 and len(files) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_evaluate_file, files.values()))
+    else:
+        done = map(_evaluate_file, files.values())
+    return build_report([report for _, report in sorted(chain.from_iterable(done))])
 
 
 def build_report(reports: list[EntryReport]) -> EvalReport:

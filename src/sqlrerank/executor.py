@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import sqlite3
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +18,10 @@ DEFAULT_TIMEOUT = 5.0
 
 # How often (in VM instructions) the progress handler checks the deadline.
 _PROGRESS_STEP = 1000
+
+# Progress steps one statement runs before a session made `by_program`
+# starts keying outcomes by compiled program.
+_KEYING_STEPS = 5
 
 
 class OutcomeKind(Enum):
@@ -109,29 +112,29 @@ class Session:
     """A DatabaseInstance loaded into a private, read-only connection.
 
     This is the one place that turns (instance, SQL) into an outcome. The
-    instance is loaded on the first statement that is not memoized, by a
-    backup of `copy` when one is given and by inserting its rows otherwise;
-    a load failure is the outcome of every statement. After the load only
-    reading statements are authorized, so no statement can change what a
-    later one sees. Each statement may run for DEFAULT_TIMEOUT seconds, read
-    when it starts, and outcomes are memoized per SQL text. `close` releases
-    the connection and keeps the memo, so a later new statement loads the
-    instance again. A session may be made in any thread, but once loaded it
-    belongs to the thread that loaded it. Run statements through
-    `execute(session, sql)`.
+    instance is loaded, by inserting its rows, on the first statement that
+    is not memoized; a load failure is the outcome of every statement. After
+    the load only reading statements are authorized, so no statement can
+    change what a later one sees. Each statement may run for DEFAULT_TIMEOUT
+    seconds, read when it starts, and outcomes, errors and timeouts
+    included, are memoized per SQL text. `close` releases the connection and
+    keeps the memo, so a later new statement loads the instance again. A
+    session may be made in any thread, but once loaded it belongs to the
+    thread that loaded it. Run statements through `execute(session, sql)`.
 
-    A session started from a copy also memoizes by compiled program (order
+    A session made `by_program` also memoizes by compiled program (order
     flag and `EXPLAIN` listing, plus the text where EXPLAIN prints an operand
     lossily or fails), so a new spelling of a statement it ran is not run.
-    As EXPLAIN costs about a small statement, keying starts once a statement
-    runs a progress step, and covers the statements run so far. A shared
+    As EXPLAIN costs about a small statement, keying starts once one
+    statement runs _KEYING_STEPS progress steps or times out, and covers the
+    statements run so far; on small instances it never starts. A shared
     outcome carries the first spelling's column labels; plain sessions,
     whose labels `render_answer` reads, memoize per text only.
     """
 
-    def __init__(self, db: DatabaseInstance, copy: LoadedCopy | None = None):
+    def __init__(self, db: DatabaseInstance, by_program: bool = False):
         self.db = db
-        self._copy = copy
+        self._by_program = by_program
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
         # Outcomes by SQL text, and by program key once the session keys by it.
@@ -161,7 +164,7 @@ class Session:
                 outcome = self._memo.get(key) or self._execute(conn, sql, ordered)
                 self._memo.setdefault(key, outcome)
             self._memo[sql] = outcome
-            if self._stepped and not self._keyed and self._copy is not None:
+            if self._stepped and not self._keyed and self._by_program:
                 self._keyed = True
                 for text, known in list(self._memo.items()):
                     result = known.result
@@ -173,10 +176,7 @@ class Session:
         if self._conn is None and self._load_failure is None:
             conn = sqlite3.connect(":memory:")
             try:
-                if self._copy is not None:
-                    self._copy.load_into(conn)
-                else:
-                    load_into_connection(self.db, conn)
+                load_into_connection(self.db, conn)
             except sqlite3.Error as exc:
                 conn.close()
                 self._load_failure = ExecutionOutcome.sql_error(f"instance load failed: {exc}")
@@ -188,15 +188,15 @@ class Session:
     def _fetch(self, conn: sqlite3.Connection, sql: str) -> tuple[tuple, list]:
         """The description and rows of `sql`; raises TimeoutError or SQLite's error."""
         deadline = time.monotonic() + DEFAULT_TIMEOUT
-        timed_out = False
+        steps, timed_out = 0, False
 
         def _check() -> int:
-            nonlocal timed_out
-            self._stepped = True
-            if time.monotonic() > deadline:
-                timed_out = True
-                return 1
-            return 0
+            nonlocal steps, timed_out
+            steps += 1
+            timed_out = time.monotonic() > deadline
+            if timed_out or steps >= _KEYING_STEPS:
+                self._stepped = True
+            return timed_out
 
         conn.set_progress_handler(_check, _PROGRESS_STEP)
         try:
@@ -237,43 +237,6 @@ class Session:
             )
             result = ExecutionResult(columns, normalized, result.order_significant)
         return ExecutionOutcome.ok(result)
-
-
-class LoadedCopy:
-    """An instance loaded once into an in-memory connection, for sessions to
-    start from by backup instead of inserting every row again.
-
-    Sessions may start from it in any thread; their backups take turns. If
-    the instance failed to load, or the copy is closed, a session inserts
-    the rows itself, so a load failure reads as it always does.
-    """
-
-    def __init__(self, db: DatabaseInstance):
-        self.db = db
-        self._lock = threading.Lock()
-        self._conn: sqlite3.Connection | None = sqlite3.connect(
-            ":memory:", check_same_thread=False
-        )
-        try:
-            load_into_connection(db, self._conn)
-        except sqlite3.Error:
-            self.close()
-
-    def session(self) -> Session:
-        return Session(self.db, self)
-
-    def load_into(self, conn: sqlite3.Connection) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.backup(conn)
-                return
-        load_into_connection(self.db, conn)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
 
 
 def execute(db: DatabaseInstance | Session, sql: str) -> ExecutionOutcome:

@@ -76,14 +76,14 @@ def student_instance(student_schema) -> DatabaseInstance:
 
 @pytest.fixture
 def many_students(student_schema) -> DatabaseInstance:
-    """The student schema with enough rows that scanning them runs past a
-    progress-handler step, so a session started from a copy of it keys
+    """The student schema with enough rows that a scan of them can run past
+    the progress steps after which a session made `by_program` keys
     outcomes by compiled program."""
     return make_instance(
         student_schema,
         {
-            "student": [(i, f"s{i % 37}", 18 + i % 11) for i in range(1, 1201)],
-            "enrollment": [(i, 1 + i * 7 % 1200, 50 + i % 50) for i in range(1, 1001)],
+            "student": [(i, f"s{i % 37}", 18 + i % 11) for i in range(1, 2401)],
+            "enrollment": [(i, 1 + i * 7 % 2400, 50 + i % 50) for i in range(1, 1001)],
         },
     )
 

@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 import types
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +17,7 @@ from sqlrerank.dbgen import GenConfig, GenMethod
 from sqlrerank.dbio import read_database, write_database
 from sqlrerank.evaluate import (
     EntryReport,
+    Originals,
     build_report,
     dump_report,
     entry_seed,
@@ -24,6 +26,7 @@ from sqlrerank.evaluate import (
     render_report_table,
     report_to_json,
 )
+from sqlrerank.executor import Session, execute
 from sqlrerank.oracle import ReferenceOracle
 from sqlrerank.suite import SuiteConfig
 
@@ -478,46 +481,57 @@ def test_dump_report_shape(corpus):
     assert sorted(payload) == list(payload)  # honours sort_keys
 
 
-# --- originals released and spellings run once -------------------------------------
+# --- one session per original, spellings run once ----------------------------------
 
 
-def test_evaluate_corpus_releases_a_copy_after_its_last_entry(
-    tmp_path, student_instance, student_schema, monkeypatch
-):
+def _two_files(tmp_path, student_instance, student_schema):
     write_database(student_instance, str(tmp_path / "s.db"))
     other = make_instance(student_schema, {"student": [(1, "ann", 30), (5, "eve", 19)]})
     write_database(other, str(tmp_path / "t.db"))
-    manifest = {
-        "entries": [
-            _entry("a-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)]),
-            _entry("a-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)], gold=GOLD_COUNT),
-            _entry("b-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file="t.db"),
-        ]
-    }
+
+
+def _corpus(tmp_path, rows):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    entries = load_corpus(str(path))
+    path.write_text(json.dumps({"entries": rows}))
+    return load_corpus(str(path))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_corpus_reports_interleaved_files_in_corpus_order(
+    tmp_path, student_instance, student_schema, workers
+):
+    _two_files(tmp_path, student_instance, student_schema)
+    entries = _corpus(tmp_path, [
+        _entry("a-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)]),
+        _entry("b-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file="t.db"),
+        _entry("a-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)], gold=GOLD_COUNT),
+        _entry("b-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
+               gold=GOLD_COUNT, db_file="t.db"),
+    ])
     alone = build_report([evaluate_entry(e, reference_factory, cfg()) for e in entries])
-
-    events = []
-    file_a = read_database(str(tmp_path / "s.db"))
-    real_close = sqlrerank.executor.LoadedCopy.close
-    real_evaluate_entry = sqlrerank.evaluate.evaluate_entry
-
-    def close(copy):
-        events.append(f"close {'A' if copy.db == file_a else 'B'}")
-        real_close(copy)
-
-    def evaluate_and_log(entry, *args, **kwargs):
-        events.append(f"start {entry.entry_id}")
-        return real_evaluate_entry(entry, *args, **kwargs)
-
-    monkeypatch.setattr(sqlrerank.executor.LoadedCopy, "close", close)
-    monkeypatch.setattr(sqlrerank.evaluate, "evaluate_entry", evaluate_and_log)
-    report = evaluate_corpus(entries, reference_factory, cfg())
-    assert events == ["start a-rerank", "start a-right", "close A", "start b-rerank", "close B"]
+    report = evaluate_corpus(entries, reference_factory, cfg(), workers=workers)
+    assert [r.entry_id for r in report.entries] == ["a-rerank", "b-rerank", "a-right", "b-right"]
     assert report == alone
     assert report.error_count == 0 and not by_id(report, "b-rerank").gated_out
+
+
+def test_evaluate_corpus_runs_a_program_once_per_original(
+    tmp_path, student_instance, student_schema, monkeypatch
+):
+    _two_files(tmp_path, student_instance, student_schema)
+    # Gated out, all right or all wrong, so every statement runs on an original.
+    all_right = [(GOLD_COUNT, 0.6), ("SELECT count(*) FROM student WHERE 1=1", 0.4)]
+    entries = _corpus(tmp_path, [
+        _entry("a-right", all_right, gold=GOLD_COUNT),
+        _entry("b-right", all_right, gold=GOLD_COUNT, db_file="t.db"),
+        _entry("a-wrong", [(WRONG_MAX, 0.9), ("SELECT 99", 0.1)], gold=GOLD_COUNT),
+    ])
+    statements = record_statements(monkeypatch)
+    report = evaluate_corpus(entries, reference_factory, cfg())
+    assert report.gated_out_count == 3 and report.error_count == 0
+    # The gold of all three, once on each original.
+    assert statements.count(GOLD_COUNT) == 2
+    assert statements.count(WRONG_MAX) == 1
 
 
 ADULTS = (
@@ -553,54 +567,111 @@ def test_evaluate_entry_runs_spellings_of_the_gold_once(
     )
 
 
-def test_evaluate_corpus_releases_each_copy_once_under_many_workers(
+def test_evaluate_corpus_reads_loads_and_closes_each_original_once(
     tmp_path, student_instance, student_schema, monkeypatch
 ):
-    write_database(student_instance, str(tmp_path / "s.db"))
-    other = make_instance(student_schema, {"student": [(1, "ann", 30), (5, "eve", 19)]})
-    write_database(other, str(tmp_path / "t.db"))
-    rows = []
-    for i in range(12):
-        for db_file in ("s.db", "t.db"):
-            rows.append(_entry(f"{db_file}-{i}", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
-                               gold=GOLD_COUNT, db_file=db_file))
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"entries": rows}))
-    entries = load_corpus(str(path))
+    _two_files(tmp_path, student_instance, student_schema)
+    entries = _corpus(tmp_path, [
+        _entry("a-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)]),
+        _entry("b-rerank", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file="t.db"),
+        _entry("a-text", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
+               gold=GOLD_COUNT, type_overrides=AS_TEXT),
+        _entry("a-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)], gold=GOLD_COUNT),
+        _entry("b-right", [(GOLD_COUNT, 0.8), ("SELECT 99", 0.2)],
+               gold=GOLD_COUNT, db_file="t.db"),
+    ])
+    alone = build_report([evaluate_entry(e, reference_factory, cfg()) for e in entries])
+    file_a, file_b = (read_database(str(tmp_path / name)) for name in ("s.db", "t.db"))
+    named = [(file_a, "A"), (apply_type_overrides(file_a, AS_TEXT), "A-text"), (file_b, "B")]
+
+    def name(db):
+        return next((name for original, name in named if db == original), None)
+
+    events = []
+    real_read = sqlrerank.evaluate.read_database
+    real_load = sqlrerank.executor.load_into_connection
+    real_close = Session.close
+    real_evaluate_entry = sqlrerank.evaluate.evaluate_entry
+
+    def read(path):
+        events.append(f"read {Path(path).name}")
+        return real_read(path)
+
+    def load(db, conn):
+        if name(db):
+            events.append(f"load {name(db)}")
+        real_load(db, conn)
+
+    def close(session):
+        if name(session.db):
+            events.append(f"close {name(session.db)}")
+        real_close(session)
+
+    def evaluate_and_log(entry, *args, **kwargs):
+        events.append(f"start {entry.entry_id}")
+        return real_evaluate_entry(entry, *args, **kwargs)
+
+    monkeypatch.setattr(sqlrerank.evaluate, "read_database", read)
+    monkeypatch.setattr(sqlrerank.executor, "load_into_connection", load)
+    monkeypatch.setattr(Session, "close", close)
+    monkeypatch.setattr(sqlrerank.evaluate, "evaluate_entry", evaluate_and_log)
+    report = evaluate_corpus(entries, reference_factory, cfg())
+    # By file, then by pair; each pair's session closes before the next
+    # pair's loads, and all of s.db's before t.db's first entry.
+    assert events == [
+        "start a-rerank", "read s.db", "load A",
+        "start a-right",
+        "start a-text", "close A", "load A-text",
+        "close A-text",
+        "start b-rerank", "read t.db", "load B",
+        "start b-right",
+        "close B",
+    ]
+    assert report == alone
+    assert [r.entry_id for r in report.entries] == [e.entry_id for e in entries]
+
+
+def test_evaluate_corpus_uses_each_session_on_the_thread_that_loaded_it(
+    tmp_path, student_schema, monkeypatch
+):
+    files = [f"f{i}.db" for i in range(4)]
+    for i, name in enumerate(files):
+        rows = {"student": [(1, "ann", 20 + i), (2, "bob", 22), (3, "cat", 21 + i)]}
+        write_database(make_instance(student_schema, rows), str(tmp_path / name))
+    entries = _corpus(tmp_path, [
+        _entry(f"{name}-{i}", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file=name)
+        for i in range(4)
+        for name in files
+    ])
     serial = evaluate_corpus(entries, reference_factory, cfg())
 
-    made, closed = [], []
-    real_init = sqlrerank.executor.LoadedCopy.__init__
-    real_close = sqlrerank.executor.LoadedCopy.close
+    originals = [read_database(str(tmp_path / name)) for name in files]
+    threads: dict[int, set] = {}
+    real_run = Session.run
 
-    def init(copy, db):
-        made.append(copy)
-        real_init(copy, db)
+    def run(session, sql):
+        if session.db in originals:
+            threads.setdefault(id(session), set()).add(threading.get_ident())
+        return real_run(session, sql)
 
-    def close(copy):
-        closed.append(copy)
-        real_close(copy)
-
-    # Copies closed when the run's own `close` starts: all of them, if each
-    # was released after its last entry.
-    closed_before_close = []
-    real_originals_close = sqlrerank.evaluate.Originals.close
-
-    def originals_close(originals):
-        closed_before_close.append(len(closed))
-        real_originals_close(originals)
-
-    monkeypatch.setattr(sqlrerank.executor.LoadedCopy, "__init__", init)
-    monkeypatch.setattr(sqlrerank.executor.LoadedCopy, "close", close)
-    monkeypatch.setattr(sqlrerank.evaluate.Originals, "close", originals_close)
+    monkeypatch.setattr(Session, "run", run)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        report = evaluate_corpus(entries, reference_factory, cfg(), workers=8)
+        report = evaluate_corpus(entries, reference_factory, cfg(), workers=3)
     finally:
         sys.setswitchinterval(interval)
     assert report == serial
-    # One copy per file, each closed once, by its last entry's release.
-    assert len(made) == 2
-    assert sorted(map(id, closed)) == sorted(map(id, made))
-    assert closed_before_close == [2]
+    assert report.error_count == 0
+    assert len(threads) == len(files)
+    assert all(len(used) == 1 for used in threads.values())
+
+
+def test_original_session_matches_a_plain_session(corpus):
+    """An EXPLAIN listing carries the schema cookie, which only an original
+    loaded like any other instance shares with a plain session."""
+    original = read_database(corpus[0].db_file)
+    with Originals() as originals, Session(original) as plain:
+        session = originals.session(corpus[0])
+        for sql in ("EXPLAIN SELECT name FROM student", GOLD_MIN, "SELECT ghost FROM student"):
+            assert execute(session, sql) == execute(plain, sql), sql

@@ -1,7 +1,5 @@
 import itertools
 import math
-import sys
-import threading
 
 import pytest
 from hypothesis import HealthCheck
@@ -12,7 +10,6 @@ import sqlrerank.executor
 from sqlrerank.executor import (
     ExecutionOutcome,
     ExecutionResult,
-    LoadedCopy,
     OutcomeKind,
     Session,
     execute,
@@ -216,88 +213,28 @@ def test_closed_session_reloads_for_new_statements_only(student_instance, monkey
     session.close()
 
 
-def test_loaded_copy_sessions_start_from_one_load(student_instance, monkeypatch):
+def test_program_keyed_session_matches_a_plain_session(student_instance, monkeypatch):
+    """A session made `by_program`, as the originals of a corpus run are,
+    loads like a plain one, so even an EXPLAIN listing, which carries the
+    schema cookie, reads the same on both."""
     statements = (
         COUNT_STUDENTS,
         "SELECT * FROM enrollment ORDER BY grade DESC",
         "SELECT rowid, typeof(age), name FROM student",
         "DELETE FROM student",
         "SELECT ghost FROM student",
+        "EXPLAIN SELECT name FROM student",
     )
     with Session(student_instance) as session:
         plain = [execute(session, sql) for sql in statements]
     assert "not authorized" in plain[3].message
     loads = _count_loads(monkeypatch)
-    copy = LoadedCopy(student_instance)
-    try:
-        for _ in range(3):
-            with copy.session() as session:
-                assert session.db is student_instance
-                assert [execute(session, sql) for sql in statements] == plain
-    finally:
-        copy.close()
+    with Session(student_instance, by_program=True) as session:
+        assert [execute(session, sql) for sql in statements] == plain
     assert loads == [student_instance]
 
 
-def test_loaded_copy_that_fails_to_load_gives_plain_sessions(student_schema, monkeypatch):
-    duplicate_keys = make_instance(
-        student_schema, {"student": [(1, "ann", 20), (1, "bob", 22)]}
-    )
-    with Session(duplicate_keys) as session:
-        plain = execute(session, COUNT_STUDENTS)
-    loads = _count_loads(monkeypatch)
-    copy = LoadedCopy(duplicate_keys)
-    with copy.session() as session:
-        assert execute(session, COUNT_STUDENTS) == plain
-    assert plain.message.startswith("instance load failed: UNIQUE constraint failed")
-    # The copy's own attempt, then the session's plain load.
-    assert loads == [duplicate_keys, duplicate_keys]
-
-
-def test_closed_loaded_copy_gives_plain_sessions(student_instance, monkeypatch):
-    copy = LoadedCopy(student_instance)
-    session = copy.session()
-    first = execute(session, COUNT_STUDENTS)
-    session.close()
-    copy.close()
-    loads = _count_loads(monkeypatch)
-    with session:
-        assert execute(session, COUNT_STUDENTS) is first
-        out = execute(session, "SELECT name FROM student WHERE student_id = 2")
-    assert out.result.rows == (("bob",),)
-    assert loads == [student_instance]
-
-
-def test_loaded_copy_serves_sessions_in_many_threads(student_instance):
-    copy = LoadedCopy(student_instance)
-    counts: list[tuple] = []
-    failures: list[BaseException] = []
-
-    def work():
-        try:
-            for _ in range(25):
-                with copy.session() as session:
-                    counts.append(execute(session, COUNT_STUDENTS).result.rows)
-        except BaseException as exc:  # reported by the main thread
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-        copy.close()
-    assert failures == []
-    assert counts == [((4,),)] * 200
-
-
-# --- program keys on sessions started from a copy ------------------------------
+# --- program keys on sessions made by_program ------------------------------------
 
 # Eight spellings of one query: case, aliases, qualified names, a comma join,
 # INNER, layout, a trailing `;` and a comment. SQLite compiles them all to
@@ -320,33 +257,35 @@ TOP_GRADES = (
     "SELECT s.name, e.grade FROM student s JOIN enrollment e"
     " ON s.student_id = e.student_id WHERE e.grade > 90  -- top grades",
 )
-# Scans every student, so a copy session keys by program from here on.
-SCAN = "SELECT sum(age) FROM student"
+# Scans every student in more than _KEYING_STEPS progress steps (21), so a
+# session made by_program keys by program from here on.
+SCAN = "SELECT sum(age), max(name), min(student_id) FROM student"
+# Scans a sixth of them in fewer steps (2).
+SHORT_SCAN = "SELECT sum(age) FROM student WHERE student_id <= 400"
 
 
 def _ran(statements: list[str]) -> list[str]:
-    return [sql for sql in statements if not sql.startswith("EXPLAIN ")]
+    """The statements run, without EXPLAINs and the load's CREATE TABLEs."""
+    return [sql for sql in statements if not sql.startswith(("EXPLAIN ", "CREATE TABLE "))]
 
 
 def _explained(statements: list[str]) -> list[str]:
     return [sql for sql in statements if sql.startswith("EXPLAIN ")]
 
 
-@pytest.fixture
-def many_copy(many_students):
-    copy = LoadedCopy(many_students)
-    yield copy
-    copy.close()
+def _keyed(db):
+    return Session(db, by_program=True)
 
 
-def test_copy_session_runs_spellings_of_one_program_once(many_students, many_copy, monkeypatch):
+def test_copy_session_runs_spellings_of_one_program_once(many_students, monkeypatch):
     with Session(many_students) as plain:
         expected = execute(plain, TOP_GRADES[0])
     assert len(expected.result.rows) > 1
     statements = record_statements(monkeypatch)
-    with many_copy.session() as session:
+    with _keyed(many_students) as session:
+        execute(session, SCAN)
         outcomes = [execute(session, sql) for sql in TOP_GRADES]
-    assert _ran(statements) == [TOP_GRADES[0]]
+    assert _ran(statements) == [SCAN, TOP_GRADES[0]]
     assert all(out is outcomes[0] for out in outcomes)
     assert outcomes[0] == expected
 
@@ -361,13 +300,11 @@ def test_copy_session_runs_spellings_of_one_program_once(many_students, many_cop
          "SELECT max(age) * 0.3 FROM student"),
     ],
 )
-def test_copy_session_keeps_lossily_listed_literals_apart(
-    many_students, many_copy, pair, monkeypatch
-):
+def test_copy_session_keeps_lossily_listed_literals_apart(many_students, pair, monkeypatch):
     with Session(many_students) as plain:
         expected = [execute(plain, sql) for sql in pair]
     statements = record_statements(monkeypatch)
-    with many_copy.session() as session:
+    with _keyed(many_students) as session:
         execute(session, SCAN)
         outcomes = [execute(session, sql) for sql in pair]
     assert _ran(statements) == [SCAN, *pair]
@@ -377,9 +314,9 @@ def test_copy_session_keeps_lossily_listed_literals_apart(
     assert first != second
 
 
-def test_copy_session_keeps_each_order_flag(many_students, many_copy):
+def test_copy_session_keeps_each_order_flag(many_students):
     ordered, unordered = "SELECT name FROM student ORDER BY rowid", "SELECT name FROM student"
-    with many_copy.session() as session, Session(many_students) as plain:
+    with _keyed(many_students) as session, Session(many_students) as plain:
         execute(session, SCAN)
         for sql in (ordered, unordered, ordered):
             assert execute(session, sql) == execute(plain, sql)
@@ -387,14 +324,14 @@ def test_copy_session_keeps_each_order_flag(many_students, many_copy):
         assert not execute(session, unordered).result.order_significant
 
 
-def test_order_flag_is_part_of_the_program_key(many_copy, monkeypatch):
+def test_order_flag_is_part_of_the_program_key(many_students, monkeypatch):
     """Where ORDER BY compiles to the same program as none (it may, on an
     INTEGER PRIMARY KEY), the flag alone tells the statements apart; here a
     comment stands in for the ORDER BY."""
     monkeypatch.setattr(
         sqlrerank.executor, "has_top_level_order_by", lambda sql: sql.endswith("-- ordered")
     )
-    with many_copy.session() as session:
+    with _keyed(many_students) as session:
         execute(session, SCAN)
         unordered = execute(session, "SELECT name FROM student")
         ordered = execute(session, "SELECT name FROM student -- ordered")
@@ -402,20 +339,21 @@ def test_order_flag_is_part_of_the_program_key(many_copy, monkeypatch):
     assert ordered.result.order_significant and not unordered.result.order_significant
 
 
-def test_timed_out_ordered_statement_is_not_run_again(many_copy, monkeypatch):
-    """A timeout is the first progress step, so the session starts keying on
-    it; an outcome without a result is keyed by its text's order flag, and
-    another spelling of the ordered statement finds it."""
+def test_timed_out_ordered_statement_is_not_run_again(many_students, monkeypatch):
+    """A timeout comes at the first progress step, and the session starts
+    keying on it as on a long scan; an outcome without a result is keyed by
+    its text's order flag, and another spelling of the ordered statement
+    finds it."""
     monkeypatch.setattr(sqlrerank.executor, "DEFAULT_TIMEOUT", 0)
     spellings = ["SELECT name FROM student ORDER BY name", "select name from student order by name"]
     statements = record_statements(monkeypatch)
-    with many_copy.session() as session:
+    with _keyed(many_students) as session:
         outcomes = [execute(session, sql) for sql in spellings]
     assert _ran(statements) == spellings[:1]
     assert outcomes[0].kind is outcomes[1].kind is OutcomeKind.TIMEOUT
 
 
-def test_copy_session_errors_match_a_plain_session(many_students, many_copy):
+def test_copy_session_errors_match_a_plain_session(many_students):
     statements = (
         "SELECT ghost FROM student",
         "select ghost from student",
@@ -432,45 +370,62 @@ def test_copy_session_errors_match_a_plain_session(many_students, many_copy):
         "",
         "SELECT 'a\x00b'",
     )
-    with many_copy.session() as session, Session(many_students) as plain:
+    with _keyed(many_students) as session, Session(many_students) as plain:
         execute(session, SCAN)
         for sql in statements:
             got, want = execute(session, sql), execute(plain, sql)
             assert got == want, sql
     assert execute(plain, "DELETE FROM student").message == "not authorized"
-    assert execute(plain, "SELECT count(*) FROM student").result.rows == ((1200,),)
+    assert execute(plain, "SELECT count(*) FROM student").result.rows == ((2400,),)
 
 
-def test_plain_and_stepless_sessions_run_no_explain(
-    many_students, student_instance, many_copy, monkeypatch
-):
+def test_plain_and_stepless_sessions_run_no_explain(many_students, student_instance, monkeypatch):
     queries = (SCAN, *TOP_GRADES)
-    small_copy = LoadedCopy(student_instance)
     statements = record_statements(monkeypatch)
-    try:
-        # A plain session whose statements step, then a copy session whose
-        # statements never do: each runs every spelling.
-        with Session(many_students) as plain, small_copy.session() as stepless:
-            for session in (plain, stepless):
-                for sql in queries:
-                    execute(session, sql)
-    finally:
-        small_copy.close()
+    # A plain session whose statements step, then a keyed session whose
+    # statements never step: each runs every spelling.
+    with Session(many_students) as plain, _keyed(student_instance) as stepless:
+        for session in (plain, stepless):
+            for sql in queries:
+                execute(session, sql)
     assert [sql for sql in statements if sql in queries] == [*queries, *queries]
     assert _explained(statements) == []
-    # A copy session on the large instance explains what it has run once a
-    # statement steps.
-    with many_copy.session() as session:
+    # A keyed session on the large instance explains what it has run once a
+    # statement runs _KEYING_STEPS steps.
+    with _keyed(many_students) as session:
         execute(session, "SELECT 1")
         execute(session, SCAN)
     assert _explained(statements) == ["EXPLAIN SELECT 1", f"EXPLAIN {SCAN}"]
 
 
-def test_shared_outcome_keeps_the_first_statements_labels(many_students, many_copy):
+def test_small_instance_never_switches_to_program_keys(student_instance, monkeypatch):
+    statements = record_statements(monkeypatch)
+    with _keyed(student_instance) as session:
+        for i in range(60):
+            for sql in (SCAN, *TOP_GRADES):
+                execute(session, f"{sql} -- {i}")
+    assert len(_ran(statements)) == 60 * (1 + len(TOP_GRADES))
+    assert _explained(statements) == []
+
+
+def test_one_long_scan_switches_to_program_keys(many_students, monkeypatch):
+    statements = record_statements(monkeypatch)
+    with _keyed(many_students) as session:
+        # Scans of fewer than _KEYING_STEPS steps, however many, do not.
+        for i in range(3):
+            execute(session, f"{SHORT_SCAN} -- {i}")
+        assert _explained(statements) == []
+        execute(session, SCAN)
+        assert len(_explained(statements)) == 4
+        execute(session, f"{SHORT_SCAN} -- again")
+    assert _ran(statements) == [f"{SHORT_SCAN} -- {i}" for i in range(3)] + [SCAN]
+
+
+def test_shared_outcome_keeps_the_first_statements_labels(many_students):
     first, second = (
         f"SELECT name AS {label} FROM student WHERE age > 25" for label in ("first", "second")
     )
-    with many_copy.session() as session:
+    with _keyed(many_students) as session:
         execute(session, SCAN)
         shared = execute(session, first)
         assert execute(session, second) is shared
@@ -513,8 +468,8 @@ spelled_sql = st.builds(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(st.lists(spelled_sql, min_size=1, max_size=8))
-def test_copy_session_outcomes_agree_with_plain_sessions(many_students, many_copy, statements):
-    with many_copy.session() as session, Session(many_students) as plain:
+def test_copy_session_outcomes_agree_with_plain_sessions(many_students, statements):
+    with _keyed(many_students) as session, Session(many_students) as plain:
         for sql in statements:
             got, want = execute(session, sql), execute(plain, sql)
             assert (got.kind, got.message) == (want.kind, want.message)
