@@ -5,12 +5,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .corpus import CorpusEntry, load_candidates_file, load_corpus
 from .dbgen import GenConfig, GenMethod, generate_database
 from .dbio import read_database, write_database
 from .errors import SqlRerankError
-from .evaluate import dump_report, evaluate_corpus, render_report_table
+from .evaluate import GATES, dump_report, evaluate_corpus, render_report_table
 from .executor import Session
 from .oracle import ReferenceOracle, RemoteOracle, ReplayOracle, ReplyCache
 from .promptgen import DbFormat, PromptConfig, load_example_pool
@@ -26,59 +27,64 @@ from .suite import (
     suite_to_json,
 )
 
-_CONFIG_KEYS = {"mts", "method", "seed", "format", "shots", "n", "comparison", "workers"}
+_CONFIG_KEYS = {"mts", "method", "seed", "format", "shots", "n", "comparison"}
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            config = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise SqlRerankError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise SqlRerankError(f"config {path} is not a JSON object")
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise SqlRerankError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return config
 
 
-def _gen_method(name: str) -> GenMethod:
+def _checked(name: str, make: Callable, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a ValueError reported as a bad `name`."""
     try:
-        return GenMethod(name)
-    except ValueError:
-        raise SqlRerankError(f"unknown generation method {name!r}") from None
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SqlRerankError(f"bad {name}: {exc}") from None
 
 
-def _flag_or_config(args, config: dict, name: str, default: int) -> int:
-    """A flag's value when it is given, else the config file's, else the default."""
+def _integer(value) -> int:
+    if type(value) is not int:  # a JSON integer: not a bool, a float or a string
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _flag_or_config(args, config: dict, name: str, default, parse: Callable = _integer):
+    """`parse` of the flag's value if given, else of the config file's, else of the default."""
     value = getattr(args, name, None)
-    return value if value is not None else int(config.get(name, default))
+    return _checked(name, parse, value if value is not None else config.get(name, default))
 
 
 def _build_suite_config(args, config: dict) -> SuiteConfig:
     """Settings from flags over the config file over the defaults; each
     subcommand passes the flags it has."""
-    method = _gen_method(getattr(args, "method", None) or config.get("method", "random-selection"))
+    method = _flag_or_config(args, config, "method", "random-selection", GenMethod)
     mts = _flag_or_config(args, config, "mts", 5)
     seed = _flag_or_config(args, config, "seed", 0)
     n = _flag_or_config(args, config, "n", 10)
-    db_format = DbFormat(getattr(args, "format", None) or config.get("format", "csv"))
+    db_format = _flag_or_config(args, config, "format", "csv", DbFormat)
     comparison = getattr(args, "comparison", None) or config.get("comparison", "relaxed")
     if comparison not in ("relaxed", "exact"):
         raise SqlRerankError(f"unknown comparison mode {comparison!r}")
 
-    pool = ()
-    examples_path = getattr(args, "examples", None)
-    if examples_path:
-        pool = load_example_pool(examples_path)
-    shots = getattr(args, "shots", None)
-    if shots is None:
-        shots = int(config.get("shots", 7)) if pool else 0
-    shots = min(shots, len(pool))
-    return SuiteConfig(
-        max_test_cases=n,
-        gen=GenConfig(mts=mts, method=method, seed=seed),
-        prompt=PromptConfig(db_format=db_format, shots=shots, example_pool=pool),
-        relaxed=(comparison == "relaxed"),
-    )
+    examples = getattr(args, "examples", None)
+    pool = load_example_pool(examples) if examples else ()
+    shots = min(_flag_or_config(args, config, "shots", 7), len(pool))
+    gen = _checked("mts", GenConfig, mts=mts, method=method, seed=seed)
+    prompt = _checked("shots", PromptConfig, db_format=db_format, shots=shots, example_pool=pool)
+    relaxed = comparison == "relaxed"
+    return _checked("n", SuiteConfig, max_test_cases=n, gen=gen, prompt=prompt, relaxed=relaxed)
 
 
 def _reply_cache(args) -> ReplyCache | None:
@@ -119,8 +125,7 @@ def _cmd_gen_db(args) -> int:
 
 
 def _cmd_gen_suite(args) -> int:
-    config = _load_config_file(args.config)
-    suite_config = _build_suite_config(args, config)
+    suite_config = _build_suite_config(args, _load_config_file(args.config))
     db = read_database(args.db)
     candidates = list(load_candidates_file(args.candidates_file))
     oracle = _build_oracle(args, _reply_cache(args))
@@ -168,11 +173,9 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config_file(args.config)
-    suite_config = _build_suite_config(args, config)
-    workers = _flag_or_config(args, config, "workers", 1)
+    suite_config = _build_suite_config(args, _load_config_file(args.config))
     entries = load_corpus(args.corpus)
-    # One cache for every entry and worker: put() locks the file.
+    # One cache for every entry: put() locks the file.
     cache = _reply_cache(args)
 
     def oracle_factory(entry: CorpusEntry):
@@ -184,7 +187,6 @@ def _cmd_eval(args) -> int:
         suite_config,
         gate=args.gate,
         base_seed=suite_config.gen.seed,
-        workers=workers,
     )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -245,11 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate re-ranking over a corpus")
     p.add_argument("--corpus", required=True, help="corpus manifest JSON")
-    p.add_argument("--gate", choices=["paper", "none"], default="paper")
+    p.add_argument("--gate", choices=GATES, default="paper")
     p.add_argument("--report", default=None, help="report output file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--comparison", choices=["relaxed", "exact"], default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, choices=[1], help="only 1: eval runs on one thread")
     _add_common_gen_flags(p)
     _add_oracle_flags(p)
     p.set_defaults(func=_cmd_eval)

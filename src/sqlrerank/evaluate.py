@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from typing import Any, Callable
@@ -68,8 +67,7 @@ class Originals:
     file reports the same error. Only the latest file and pair are held:
     another pair closes the session before it, and another file drops the
     instance, so keep each pair's entries together, as `evaluate_corpus`
-    does. A session belongs to the thread that loaded it, so use one
-    `Originals` per thread. `close` closes the open session.
+    does. `close` closes the open session.
     """
 
     def __init__(self) -> None:
@@ -111,6 +109,14 @@ class Originals:
             return str(exc)
 
 
+GATES = ("paper", "none")
+
+
+def _check_gate(gate: str) -> None:
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+
+
 def _pair(entry: CorpusEntry) -> tuple:
     return entry.db_file, tuple(sorted(entry.type_overrides.items()))
 
@@ -133,6 +139,7 @@ def evaluate_entry(
     """Evaluate one entry on its original from `originals`, the ones a
     corpus run shares, or from originals of its own when none are given.
     The session it is handed stays open for the pair's next entry."""
+    _check_gate(gate)
     if entry.gold_sql is None:
         return EntryReport(entry_id=entry.entry_id, error="missing gold_sql", tags=entry.tags)
     if originals is None:
@@ -215,31 +222,22 @@ def evaluate_corpus(
     config: SuiteConfig,
     gate: str = "paper",
     base_seed: int = 0,
-    workers: int = 1,
 ) -> EvalReport:
-    if gate not in ("paper", "none"):
-        raise ValueError(f"unknown gate {gate!r}")
-    # Entries by file, in order of first appearance, then by pair: a file's
-    # entries run on one thread, pair after pair, in corpus order within a
-    # pair. The reports go back in corpus order.
+    _check_gate(gate)
+    # Entries by file, in order of first appearance, then by pair, in corpus
+    # order within a pair; each report goes back to its corpus index.
     files: dict[str, dict[tuple, list[int]]] = {}
     for i, entry in enumerate(entries):
         files.setdefault(entry.db_file, {}).setdefault(_pair(entry), []).append(i)
-
-    def _evaluate_file(pairs: dict[tuple, list[int]]) -> list[tuple[int, EntryReport]]:
-        with Originals() as originals:
-            return [
-                (i, evaluate_entry(entries[i], oracle_factory, config, gate, base_seed, originals))
-                for group in pairs.values()
-                for i in group
-            ]
-
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_evaluate_file, files.values()))
-    else:
-        done = map(_evaluate_file, files.values())
-    return build_report([report for _, report in sorted(chain.from_iterable(done))])
+    reports: list[EntryReport | None] = [None] * len(entries)
+    with Originals() as originals:
+        for pairs in files.values():
+            for i in chain.from_iterable(pairs.values()):
+                reports[i] = evaluate_entry(
+                    entries[i], oracle_factory, config, gate, base_seed, originals
+                )
+            originals.close()  # a file's last session closes with the file
+    return build_report(reports)
 
 
 def build_report(reports: list[EntryReport]) -> EvalReport:

@@ -118,9 +118,8 @@ class Session:
     change what a later one sees. Each statement may run for DEFAULT_TIMEOUT
     seconds, read when it starts, and outcomes, errors and timeouts
     included, are memoized per SQL text. `close` releases the connection and
-    keeps the memo, so a later new statement loads the instance again. A
-    session may be made in any thread, but once loaded it belongs to the
-    thread that loaded it. Run statements through `execute(session, sql)`.
+    keeps the memo, so a later new statement loads the instance again. Run
+    statements through `execute(session, sql)`.
 
     A session made `by_program` also memoizes by compiled program (order
     flag and `EXPLAIN` listing, plus the text where EXPLAIN prints an operand

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -93,6 +94,36 @@ def test_gen_db_unknown_config_key(workdir, capsys):
     code = run_cli("gen-db", "--db", workdir / "s.db", "--out", workdir / "x.db", "--config", config)
     assert code == 1
     assert "typo_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, named",
+    [
+        ('{"mts": "abc"}', [], "mts"),
+        ('{"format": "bogus"}', [], "format"),
+        ('{"mts": 0}', [], "mts"),
+        ("{}", ["--mts", 0], "mts"),
+        ("{not json", [], "config"),
+        (None, [], "config"),  # no config file at the path
+        ('{"seed": 1.7}', [], "seed"),
+        ('{"seed": true}', [], "seed"),
+        ("[2]", [], "config"),
+    ],
+    ids=[
+        "mts-text", "format-unknown", "mts-zero", "mts-flag-zero", "not-json",
+        "no-file", "seed-float", "seed-bool", "not-an-object",
+    ],
+)
+def test_gen_db_bad_settings_are_errors(workdir, capsys, config_text, flags, named):
+    config = workdir / "config.json"
+    if config_text is not None:
+        config.write_text(config_text)
+    out = workdir / "x.db"
+    code = run_cli("gen-db", "--db", workdir / "s.db", "--out", out, "--config", config, *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 def test_gen_db_missing_source(workdir, capsys):
@@ -347,14 +378,25 @@ def test_eval_no_gate(workdir, capsys):
 
 
 def test_eval_workers_config(workdir, capsys):
+    """eval runs on one thread: `workers` is no config key, and the flag
+    accepts only 1, which changes nothing."""
     manifest = make_corpus(workdir)
+    eval_args = ("eval", "--corpus", manifest, "--oracle", "reference")
     config = workdir / "config.json"
     config.write_text(json.dumps({"workers": 2}))
-    code = run_cli(
-        "eval", "--corpus", manifest, "--oracle", "reference", "--config", config,
-    )
-    assert code == 0
-    assert "EX before=0.000 after=0.500" in capsys.readouterr().out
+    assert run_cli(*eval_args, "--config", config) == 1
+    assert "unknown config keys: workers" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*eval_args, "--workers", 2)
+    assert exited.value.code == 2
+    assert "invalid choice: 2" in capsys.readouterr().err
+
+    assert run_cli(*eval_args) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(*eval_args, "--workers", 1) == 0
+    assert capsys.readouterr().out == plain
+    assert "EX before=0.000 after=0.500" in plain
 
 
 def test_eval_reads_the_reply_cache_once(workdir, monkeypatch):
@@ -437,6 +479,34 @@ def test_bad_comparison_mode(workdir, capsys):
     code = run_cli(*gen_suite_args(workdir, workdir / "o.json", "--config", config))
     assert code == 1
     assert "comparison" in capsys.readouterr().err
+
+
+# --- the benchmark's eval call ------------------------------------------------------------
+
+BENCH_RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+def _bench_eval_flags() -> dict[str, list[str]]:
+    """EVAL_FLAGS of bench/run.py, read from its source; the file is neither
+    imported nor compiled, so no bytecode is written under bench/."""
+    tree = ast.parse(BENCH_RUN_PY.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "EVAL_FLAGS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no EVAL_FLAGS in bench/run.py")
+
+
+def test_bench_eval_flags_parse():
+    flags_by_workload = _bench_eval_flags()
+    assert flags_by_workload
+    for workload, flags in flags_by_workload.items():
+        args = build_parser().parse_args([
+            "eval", "--corpus", "m.json", "--gate", "paper", "--seed", "1",
+            "--report", "r.json", *flags,
+        ])
+        assert args.command == "eval", workload
 
 
 # --- console entry point -------------------------------------------------------------------

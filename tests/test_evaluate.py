@@ -1,6 +1,4 @@
 import json
-import sys
-import threading
 import types
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +8,7 @@ import pytest
 
 import sqlrerank.evaluate
 import sqlrerank.executor
-from conftest import make_instance
+from conftest import col, make_instance
 from conftest import record_statements
 from sqlrerank.corpus import apply_type_overrides, load_corpus
 from sqlrerank.dbgen import GenConfig, GenMethod
@@ -26,8 +24,9 @@ from sqlrerank.evaluate import (
     render_report_table,
     report_to_json,
 )
-from sqlrerank.executor import Session, execute
+from sqlrerank.executor import Session, execute, result_canonical_key, results_equal_relaxed
 from sqlrerank.oracle import ReferenceOracle
+from sqlrerank.schema import ColumnType, SchemaGraph, Table
 from sqlrerank.suite import SuiteConfig
 
 GOLD_MIN = "SELECT min(age) FROM student"
@@ -215,6 +214,43 @@ def test_evaluate_entry_unreadable_db(corpus, tmp_path):
     assert report.error.startswith("database load")
 
 
+def test_evaluate_entry_rejects_an_unknown_gate(corpus):
+    with pytest.raises(ValueError, match="papr"):
+        evaluate_entry(corpus[0], reference_factory, cfg(), gate="papr")
+
+
+NAMES_BY_ID = "SELECT name FROM t ORDER BY id"
+NAMES = "SELECT name FROM t"
+NAMES_GROUPED = "SELECT name FROM t GROUP BY name"
+
+
+def test_evaluate_entry_judges_each_candidate_against_an_ordered_gold(tmp_path):
+    """Two candidates with one canonical key can get different verdicts when
+    the gold is ordered: rows in the gold's order pass, the same rows
+    grouped into another order do not. So verdicts are per candidate, not
+    per class."""
+    schema = SchemaGraph(
+        tables=(Table("t", (col("id", pk=True), col("name", ColumnType.TEXT))),),
+        foreign_keys=(),
+    )
+    instance = make_instance(schema, {"t": [(1, "b"), (2, "a"), (3, "c")]})
+    write_database(instance, str(tmp_path / "t.db"))
+    with Session(instance) as session:
+        gold, plain, grouped = (
+            execute(session, sql).result for sql in (NAMES_BY_ID, NAMES, NAMES_GROUPED)
+        )
+    assert result_canonical_key(plain) == result_canonical_key(grouped)
+    assert results_equal_relaxed(plain, gold)
+    assert not results_equal_relaxed(grouped, gold)
+
+    path = tmp_path / "manifest.json"
+    row = _entry("ordered", [(NAMES_GROUPED, 0.6), (NAMES, 0.4)], gold=NAMES_BY_ID, db_file="t.db")
+    path.write_text(json.dumps({"entries": [row]}))
+    (entry,) = load_corpus(str(path))
+    report = evaluate_entry(entry, reference_factory, cfg())
+    assert report == EntryReport(entry_id="ordered", skipped_all_same=True)
+
+
 # --- the benchmark's trace mode ------------------------------------------------------
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -272,12 +308,6 @@ def test_evaluate_corpus_gate_validation(corpus):
         evaluate_corpus(corpus, reference_factory, cfg(), gate="strict")
 
 
-def test_evaluate_corpus_workers_match_serial(corpus):
-    serial = evaluate_corpus(corpus, reference_factory, cfg(), workers=1)
-    threaded = evaluate_corpus(corpus, reference_factory, cfg(), workers=3)
-    assert serial == threaded
-
-
 def test_evaluate_corpus_deterministic(corpus):
     a = dump_report(evaluate_corpus(corpus, reference_factory, cfg()))
     b = dump_report(evaluate_corpus(corpus, reference_factory, cfg()))
@@ -323,23 +353,19 @@ def shared_corpus(tmp_path, student_instance, student_schema):
     return load_corpus(str(path))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_evaluate_corpus_reads_each_file_once(shared_corpus, monkeypatch, workers):
+def test_evaluate_corpus_reads_each_file_once(shared_corpus, monkeypatch):
     reads = []
     real_read = sqlrerank.evaluate.read_database
     monkeypatch.setattr(
         sqlrerank.evaluate, "read_database", lambda path: reads.append(path) or real_read(path)
     )
-    evaluate_corpus(shared_corpus, reference_factory, cfg(), workers=workers)
+    evaluate_corpus(shared_corpus, reference_factory, cfg())
     files = {e.db_file for e in shared_corpus if e.gold_sql is not None}
     assert len(files) == 3
     assert Counter(reads) == {f: 1 for f in files}
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_evaluate_corpus_loads_one_copy_per_file_and_overrides(
-    shared_corpus, monkeypatch, workers
-):
+def test_evaluate_corpus_loads_one_copy_per_file_and_overrides(shared_corpus, monkeypatch):
     loads = []
     real_load = sqlrerank.executor.load_into_connection
     monkeypatch.setattr(
@@ -347,7 +373,7 @@ def test_evaluate_corpus_loads_one_copy_per_file_and_overrides(
         "load_into_connection",
         lambda db, conn: loads.append(db) or real_load(db, conn),
     )
-    report = evaluate_corpus(shared_corpus, reference_factory, cfg(), workers=workers)
+    report = evaluate_corpus(shared_corpus, reference_factory, cfg())
     assert sum(not r.gated_out and r.suite_size > 0 for r in report.entries) >= 2
     readable = [e for e in shared_corpus if "junk" not in e.db_file]
     originals = {
@@ -383,16 +409,14 @@ def test_evaluate_corpus_missing_gold(shared_corpus):
     assert by_id(report, "no-gold").error == "missing gold_sql"
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_evaluate_corpus_matches_entries_evaluated_alone(shared_corpus, workers):
+def test_evaluate_corpus_matches_entries_evaluated_alone(shared_corpus):
     alone = build_report([evaluate_entry(e, reference_factory, cfg()) for e in shared_corpus])
-    together = evaluate_corpus(shared_corpus, reference_factory, cfg(), workers=workers)
+    together = evaluate_corpus(shared_corpus, reference_factory, cfg())
     assert together == alone
     assert together.error_count == 3
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_evaluate_corpus_calls_evaluate_entry_once_per_entry(corpus, monkeypatch, workers):
+def test_evaluate_corpus_calls_evaluate_entry_once_per_entry(corpus, monkeypatch):
     """bench/run.py times entries by patching this module-level name."""
     called = []
     real_evaluate_entry = sqlrerank.evaluate.evaluate_entry
@@ -402,7 +426,7 @@ def test_evaluate_corpus_calls_evaluate_entry_once_per_entry(corpus, monkeypatch
         return real_evaluate_entry(entry, *args, **kwargs)
 
     monkeypatch.setattr(sqlrerank.evaluate, "evaluate_entry", counting)
-    report = evaluate_corpus(corpus, reference_factory, cfg(), workers=workers)
+    report = evaluate_corpus(corpus, reference_factory, cfg())
     assert sorted(called) == sorted(e.entry_id for e in corpus)
     assert [r.entry_id for r in report.entries] == [e.entry_id for e in corpus]
 
@@ -496,9 +520,8 @@ def _corpus(tmp_path, rows):
     return load_corpus(str(path))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 def test_evaluate_corpus_reports_interleaved_files_in_corpus_order(
-    tmp_path, student_instance, student_schema, workers
+    tmp_path, student_instance, student_schema
 ):
     _two_files(tmp_path, student_instance, student_schema)
     entries = _corpus(tmp_path, [
@@ -509,7 +532,7 @@ def test_evaluate_corpus_reports_interleaved_files_in_corpus_order(
                gold=GOLD_COUNT, db_file="t.db"),
     ])
     alone = build_report([evaluate_entry(e, reference_factory, cfg()) for e in entries])
-    report = evaluate_corpus(entries, reference_factory, cfg(), workers=workers)
+    report = evaluate_corpus(entries, reference_factory, cfg())
     assert [r.entry_id for r in report.entries] == ["a-rerank", "b-rerank", "a-right", "b-right"]
     assert report == alone
     assert report.error_count == 0 and not by_id(report, "b-rerank").gated_out
@@ -629,42 +652,6 @@ def test_evaluate_corpus_reads_loads_and_closes_each_original_once(
     ]
     assert report == alone
     assert [r.entry_id for r in report.entries] == [e.entry_id for e in entries]
-
-
-def test_evaluate_corpus_uses_each_session_on_the_thread_that_loaded_it(
-    tmp_path, student_schema, monkeypatch
-):
-    files = [f"f{i}.db" for i in range(4)]
-    for i, name in enumerate(files):
-        rows = {"student": [(1, "ann", 20 + i), (2, "bob", 22), (3, "cat", 21 + i)]}
-        write_database(make_instance(student_schema, rows), str(tmp_path / name))
-    entries = _corpus(tmp_path, [
-        _entry(f"{name}-{i}", [(WRONG_MAX, 0.9), (GOLD_MIN, 0.1)], db_file=name)
-        for i in range(4)
-        for name in files
-    ])
-    serial = evaluate_corpus(entries, reference_factory, cfg())
-
-    originals = [read_database(str(tmp_path / name)) for name in files]
-    threads: dict[int, set] = {}
-    real_run = Session.run
-
-    def run(session, sql):
-        if session.db in originals:
-            threads.setdefault(id(session), set()).add(threading.get_ident())
-        return real_run(session, sql)
-
-    monkeypatch.setattr(Session, "run", run)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        report = evaluate_corpus(entries, reference_factory, cfg(), workers=3)
-    finally:
-        sys.setswitchinterval(interval)
-    assert report == serial
-    assert report.error_count == 0
-    assert len(threads) == len(files)
-    assert all(len(used) == 1 for used in threads.values())
 
 
 def test_original_session_matches_a_plain_session(corpus):
