@@ -46,6 +46,15 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
+def _load_suite_file(path: str) -> TestSuite:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return suite_from_json(json.load(handle))
+    # ValueError: not JSON, or not UTF-8; the others: not a suite's shape.
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, SqlRerankError) as exc:
+        raise SqlRerankError(f"cannot load suite file {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _checked(name: str, make: Callable, *args, **kwargs):
     """`make(*args, **kwargs)`, with a ValueError reported as a bad `name`."""
     try:
@@ -158,8 +167,7 @@ def _cmd_gen_suite(args) -> int:
 
 def _cmd_rerank(args) -> int:
     relaxed = _build_suite_config(args, _load_config_file(args.config)).relaxed
-    with open(args.suite, encoding="utf-8") as handle:
-        suite = suite_from_json(json.load(handle))
+    suite = _load_suite_file(args.suite)
     candidates = list(load_candidates_file(args.candidates_file))
     outcome = rerank(candidates, suite, relaxed=relaxed)
     suite.close()

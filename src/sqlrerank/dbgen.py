@@ -28,7 +28,7 @@ from .schema import (
     reverse_topo_order,
     topo_order_parents_first,
 )
-from .sqlanalysis import SqlAnalysis, analyze_all
+from .sqlanalysis import SqlAnalysis, analyze_all, has_natural_join
 
 log = logging.getLogger(__name__)
 
@@ -327,13 +327,19 @@ def prune_schema(
     retained table with no referenced columns keeps its primary key (or first
     column). The candidates are analysed again on the pruned schema, and the
     targets come from that pass. If nothing parses, or a candidate that
-    parsed no longer does (SQLite does not report the columns of a USING or
-    NATURAL join as read), the input is returned unchanged.
+    parsed no longer does (SQLite does not report the columns of a USING
+    join as read), the input is returned unchanged. It is also returned
+    unchanged, with the first pass's targets, when a candidate has a NATURAL
+    join: SQLite does not report its shared columns as read either, and
+    without them the join still compiles, as a cross join.
     """
     analyses, _warnings = analyze_all(candidate_sqls, db.schema)
     if not analyses:
         log.warning("no candidate SQL parsed; returning the instance unpruned")
         return db, set()
+    if any(has_natural_join(a.sql) for a in analyses):
+        log.warning("a candidate has a NATURAL join; returning the instance unpruned")
+        return db, _numeric_targets(db.schema, analyses)
 
     schema = db.schema
     used_tables: set[str] = set()

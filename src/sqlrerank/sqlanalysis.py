@@ -6,7 +6,9 @@ empty copy of the schema while the authorizer records each (table, column)
 read, after SQLite has resolved aliases, scopes, CTEs, derived tables and
 `*`. SQL that SQLite rejects, or that the executor would refuse, is
 skipped. A small token pass finds the identifiers in aggregate calls and
-ORDER BY items and matches them by column name against the reads.
+ORDER BY items and matches them by column name against the reads. That
+pass, and the order flag, depend on the text alone: each text is tokenized
+once per process, in a cache bounded at 4096 texts.
 """
 from __future__ import annotations
 
@@ -39,17 +41,18 @@ class Token(NamedTuple):
     pos: int
 
 
-# Alternatives are tried in order at each offset; the last two catch an
-# opener whose closer never comes and any other character.
+# Alternatives are tried in order at each offset; the last two catch a
+# quote or bracket whose closer never comes and any other character. As in
+# SQLite, a block comment ends at `*/` or at the end of the text.
 _TOKEN = re.compile(
     r"""
-    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    (?P<skip>\s+|--[^\n]*|/\*.*?(?:\*/|\Z))
     | (?P<string>'[^']*(?:''[^']*)*')
     | (?P<quoted>"[^"]*(?:""[^"]*)*"|`[^`]*(?:``[^`]*)*`)
     | (?P<bracket>\[[^\]]*\])
     | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
     | (?P<ident>[^\W\d][\w$]*)
-    | (?P<unterminated>/\*|['"`\[])
+    | (?P<unterminated>['"`\[])
     | (?P<punct><>|<=|>=|!=|==|\|\||<<|>>|[-+*/%(),.;=<>|&~])
     | (?P<bad>.)
     """,
@@ -188,13 +191,21 @@ def _agg_and_sort_refs(tokens: list[Token], words: list[str]) -> list[tuple[str 
     return refs
 
 
+def _names_of(words: list[str], qualifiers: set[str]) -> frozenset[tuple[str, str]]:
+    """(table, q) for each qualifier q that is a table's own name or the
+    alias of a `<table> [AS] q`, as far as the words tell."""
+    names = {(w, w) for w in words} | set(zip(words, words[1:]))
+    names |= {(a, c) for a, b, c in zip(words, words[1:], words[2:]) if b == "as"}
+    return frozenset(name for name in names if name[1] in qualifiers)
+
+
 def _match(
-    refs: list[tuple[str | None, str]], columns: frozenset[tuple[str, str]], words: list[str]
+    refs: tuple[tuple[str | None, str], ...],
+    columns: frozenset[tuple[str, str]],
+    names: frozenset[tuple[str, str]],
 ) -> frozenset[tuple[str, str]]:
     """The columns read that a ref names: the same column name and, for
     `q.c`, a table named q or a `<table> [AS] q` alias."""
-    names = {(w, w) for w in words} | set(zip(words, words[1:]))
-    names |= {(a, c) for a, b, c in zip(words, words[1:], words[2:]) if b == "as"}
     return frozenset(
         (table, column)
         for qualifier, name in refs
@@ -202,6 +213,41 @@ def _match(
         if column.lower() == name.lower()
         and (qualifier is None or (table.lower(), qualifier.lower()) in names)
     )
+
+
+class _Reading(NamedTuple):
+    """What a SQL text says by itself, or why the tokenizer rejects it."""
+
+    ordered: bool  # the statement itself, not a subquery, has an ORDER BY
+    natural: bool  # the word NATURAL occurs
+    refs: tuple[tuple[str | None, str], ...]  # see _agg_and_sort_refs
+    names: frozenset[tuple[str, str]]  # see _names_of, for the qualifiers in refs
+    error: str | None = None
+
+
+# Every candidate is analyzed twice per entry and executed on several
+# instances, so each text is tokenized once. The record keeps no Token, and
+# names only for the qualifiers its refs use.
+@functools.lru_cache(maxsize=4096)
+def _read(sql: str) -> _Reading:
+    try:
+        tokens = tokenize(sql)
+    except SqlParseError as exc:
+        return _Reading(False, False, (), frozenset(), str(exc))
+    words = [t.value.lower() if t.kind == "ident" else "" for t in tokens]
+    ordered, depth = False, 0
+    for tok, word, nxt in zip(tokens, words, words[1:]):
+        if tok.text == "(":
+            depth += 1
+        elif tok.text == ")":
+            depth -= 1
+        elif depth == 0 and word == "order" and nxt == "by":
+            ordered = True
+            break
+    refs = tuple(_agg_and_sort_refs(tokens, words))
+    qualifiers = {q.lower() for q, _name in refs if q is not None}
+    names = _names_of(words, qualifiers) if qualifiers else frozenset()
+    return _Reading(ordered, "natural" in words, refs, names)
 
 
 @dataclass(frozen=True)
@@ -238,7 +284,9 @@ def analyze_all(sqls: list[str], schema: SchemaGraph) -> tuple[list[SqlAnalysis]
             reads.clear()
             try:
                 conn.execute("EXPLAIN " + sql)
-                tokens = tokenize(sql)
+                reading = _read(sql)
+                if reading.error is not None:
+                    raise SqlParseError(reading.error)
             except (sqlite3.Error, sqlite3.Warning, ValueError, SqlParseError) as exc:
                 warnings.append(f"candidate {i} skipped: {exc}")
                 log.warning("%s", warnings[-1])
@@ -246,9 +294,8 @@ def analyze_all(sqls: list[str], schema: SchemaGraph) -> tuple[list[SqlAnalysis]
             # Reads of sqlite_master, or of a rowid, name no column of the schema.
             columns = frozenset((t, c) for t, c in reads if c in columns_of.get(t, ()))
             tables = frozenset(t for t, _c in reads if t in columns_of)
-            words = [t.value.lower() if t.kind == "ident" else "" for t in tokens]
-            refs = _agg_and_sort_refs(tokens, words)
-            agg_or_sort = _match(refs, columns, words) if refs else frozenset()
+            refs = reading.refs
+            agg_or_sort = _match(refs, columns, reading.names) if refs else frozenset()
             analyses.append(SqlAnalysis(sql, tables, columns, agg_or_sort))
     finally:
         conn.close()
@@ -264,21 +311,11 @@ def analyze(sql: str, schema: SchemaGraph) -> SqlAnalysis:
     return analyses[0]
 
 
-# The flag depends on the SQL text alone, and every candidate is executed
-# on several instances, so each text is tokenized once.
-@functools.lru_cache(maxsize=4096)
 def has_top_level_order_by(sql: str) -> bool:
     """True if the statement itself (not a subquery) has an ORDER BY."""
-    try:
-        tokens = tokenize(sql)
-    except SqlParseError:
-        return False
-    depth = 0
-    for tok, nxt in zip(tokens, tokens[1:]):
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-        elif depth == 0 and _is_word(tok, {"order"}) and _is_word(nxt, {"by"}):
-            return True
-    return False
+    return _read(sql).ordered
+
+
+def has_natural_join(sql: str) -> bool:
+    """True if the word NATURAL occurs in the statement, as in a NATURAL join."""
+    return _read(sql).natural

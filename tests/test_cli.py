@@ -314,7 +314,27 @@ def test_rerank_comparison_flag_overrides_config(workdir, student_instance):
     assert top1("--comparison", "relaxed") == "SELECT name, age FROM student"
 
 
-# --- eval ----------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "suite_text,named",
+    [(None, "FileNotFoundError"), ("not json", "JSONDecodeError"), ('{"cases": []}', "signatures")],
+    ids=["no-file", "not-json", "no-signatures"],
+)
+def test_rerank_bad_suite_file_is_an_error(workdir, capsys, suite_text, named):
+    suite_path = workdir / "suite.json"
+    if suite_text is not None:
+        suite_path.write_text(suite_text)
+    out = workdir / "outcome.json"
+    code = run_cli(
+        "rerank", "--suite", suite_path, "--candidates-file", workdir / "cands.json",
+        "--out", out,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load suite file {suite_path}: ") and named in err
+    assert not out.exists()
+
+
+# --- eval----------------------------------------------------------------------------
 
 
 def make_corpus(workdir):

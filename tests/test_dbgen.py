@@ -13,7 +13,7 @@ from sqlrerank.dbgen import (
 )
 from sqlrerank.dbio import load_into_connection
 from sqlrerank.errors import MalformedDatabase, TargetIsForeignKey, UnknownColumn
-from sqlrerank.executor import OutcomeKind, execute
+from sqlrerank.executor import OutcomeKind, execute, results_equal
 from sqlrerank.instance import foreign_key_violations
 from sqlrerank.schema import ColumnType, ForeignKey, SchemaGraph, Table
 
@@ -479,6 +479,7 @@ def test_pruned_instance_runs_every_candidate(request, fixture, sql):
     for query in (sql, other):
         outcome = execute(pruned, query)
         assert outcome.kind is OutcomeKind.OK, outcome.message
+        assert results_equal(outcome.result, execute(db, query).result), query
 
 
 def test_prune_keeps_and_targets_cte_aggregate(student_instance):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import sqlrerank.dbgen
 import sqlrerank.evaluate
 import sqlrerank.executor
 from conftest import col, make_instance
@@ -270,6 +271,29 @@ def test_bench_span_targets_resolve():
     spans = _load_spans()
     for owner, attribute, _name, _count in spans.TARGETS:
         assert callable(getattr(spans._resolve(owner), attribute, None)), (owner, attribute)
+
+
+def test_bench_span_targets_see_the_analysis_calls(student_instance, monkeypatch):
+    spans = _load_spans()
+    counts: Counter = Counter()
+    for owner, attribute, name, _count in spans.TARGETS:
+        if name.startswith("sqlanalysis."):
+            module = spans._resolve(owner)
+            real = getattr(module, attribute)
+
+            def counting(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, attribute, counting)
+    sqls = ["SELECT name FROM student ORDER BY age", "SELECT count(*) FROM student"]
+    sqlrerank.dbgen.prune_schema(student_instance, sqls)
+    assert counts == {"sqlanalysis.analyze_all": 2}
+    with Session(student_instance) as session:
+        session.run(sqls[0])
+        assert counts["sqlanalysis.has_top_level_order_by"] == 1
+        session.run(sqls[0])  # memoized
+        assert counts["sqlanalysis.has_top_level_order_by"] == 1
 
 
 def test_bench_tracing_records_every_layer(corpus):

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqlrerank.sqlanalysis
 from sqlrerank.dbgen import prune_schema
 from sqlrerank.errors import SqlParseError
-from sqlrerank.executor import OutcomeKind, execute
+from sqlrerank.executor import OutcomeKind, execute, results_equal
 from sqlrerank.sqlanalysis import (
     SqlAnalysis,
     analyze,
@@ -74,11 +75,27 @@ def test_tokenize_lone_dot_is_punct():
 
 @pytest.mark.parametrize(
     "bad",
-    ["SELECT 'open", "/* never closed", "[no close", "SELECT a ? b", "SELECT @v"],
+    ["SELECT 'open", "[no close", "SELECT a ? b", "SELECT @v"],
 )
 def test_tokenize_errors(bad):
     with pytest.raises(SqlParseError):
         tokenize(bad)
+
+
+def test_tokenize_unclosed_block_comment_runs_to_the_end():
+    # As in SQLite, a block comment ends at */ or at the end of the text.
+    assert tokenize("/* never closed") == []
+    assert [t.value for t in tokenize("SELECT a /* b */ , c /* d")] == ["SELECT", "a", ",", "c"]
+
+
+def test_trailing_unclosed_comment_keeps_the_order_and_the_column(student_instance):
+    sql = "SELECT name FROM student ORDER BY age /* trailing"
+    pruned, targets = prune_schema(student_instance, [sql, "SELECT name FROM student"])
+    assert pruned.schema.table("student").column_names() == ("name", "age")
+    assert targets == {("student", "age")}
+    on_pruned = execute(pruned, sql)
+    assert on_pruned.kind is OutcomeKind.OK, on_pruned.message
+    assert results_equal(on_pruned.result, execute(student_instance, sql).result)
 
 
 # --- analysis: hand-resolved fixtures --------------------------------------
@@ -335,10 +352,51 @@ def test_analyze_all_skips_statements_that_do_not_only_read(student_schema):
         ("SELECT a FROM t WHERE a IN (SELECT b FROM u ORDER BY b)", False),
         ("not even sql 'unterminated", False),
         ("SELECT a, (SELECT max(b) FROM u ORDER BY b) FROM t", False),
+        ("SELECT a FROM t ORDER BY a /* trailing", True),
     ],
 )
 def test_has_top_level_order_by(sql, expected):
     assert has_top_level_order_by(sql) is expected
+
+
+# --- one reading per text ----------------------------------------------------
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """Calls of `tokenize` from an empty text cache on."""
+    calls: list[str] = []
+
+    def counting(sql):
+        calls.append(sql)
+        return tokenize(sql)
+
+    sqlrerank.sqlanalysis._read.cache_clear()
+    monkeypatch.setattr(sqlrerank.sqlanalysis, "tokenize", counting)
+    yield calls
+    sqlrerank.sqlanalysis._read.cache_clear()
+
+
+def test_each_text_is_tokenized_once(student_instance, tokenize_calls):
+    sqls = [
+        "SELECT name FROM student ORDER BY age",
+        "SELECT max(age) FROM student",
+        "SELECT s.name FROM student AS s JOIN enrollment e ON e.student_id = s.student_id",
+    ]
+    for sql in sqls:
+        has_top_level_order_by(sql)
+    prune_schema(student_instance, sqls)  # analyzes every text twice
+    assert sorted(tokenize_calls) == sorted(sqls)
+
+
+def test_a_rejected_text_is_tokenized_once(student_schema, tokenize_calls):
+    sql = "SELECT 1 AS x€"  # SQLite compiles it; the tokenizer rejects it
+    for _ in range(3):
+        assert not has_top_level_order_by(sql)
+        analyses, warnings = analyze_all([sql], student_schema)
+        assert analyses == []
+        assert warnings == ["candidate 0 skipped: unexpected character '€' at offset 13"]
+    assert tokenize_calls == [sql]
 
 
 # --- robustness property -----------------------------------------------------
