@@ -246,8 +246,7 @@ def _read(sql: str) -> _Reading:
             break
     refs = tuple(_agg_and_sort_refs(tokens, words))
     qualifiers = {q.lower() for q, _name in refs if q is not None}
-    names = _names_of(words, qualifiers) if qualifiers else frozenset()
-    return _Reading(ordered, "natural" in words, refs, names)
+    return _Reading(ordered, "natural" in words, refs, _names_of(words, qualifiers))
 
 
 @dataclass(frozen=True)
