@@ -69,6 +69,13 @@ def _integer(value) -> int:
     return value
 
 
+def _relaxed(mode) -> bool:
+    """True for the "relaxed" comparison, False for "exact"."""
+    if mode not in ("relaxed", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode == "relaxed"
+
+
 def _flag_or_config(args, config: dict, name: str, default, parse: Callable = _integer):
     """`parse` of the flag's value if given, else of the config file's, else of the default."""
     value = getattr(args, name, None)
@@ -83,16 +90,13 @@ def _build_suite_config(args, config: dict) -> SuiteConfig:
     seed = _flag_or_config(args, config, "seed", 0)
     n = _flag_or_config(args, config, "n", 10)
     db_format = _flag_or_config(args, config, "format", "csv", DbFormat)
-    comparison = getattr(args, "comparison", None) or config.get("comparison", "relaxed")
-    if comparison not in ("relaxed", "exact"):
-        raise SqlRerankError(f"unknown comparison mode {comparison!r}")
+    relaxed = _flag_or_config(args, config, "comparison", "relaxed", _relaxed)
 
     examples = getattr(args, "examples", None)
     pool = load_example_pool(examples) if examples else ()
     shots = min(_flag_or_config(args, config, "shots", 7), len(pool))
     gen = _checked("mts", GenConfig, mts=mts, method=method, seed=seed)
     prompt = _checked("shots", PromptConfig, db_format=db_format, shots=shots, example_pool=pool)
-    relaxed = comparison == "relaxed"
     return _checked("n", SuiteConfig, max_test_cases=n, gen=gen, prompt=prompt, relaxed=relaxed)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Any, Callable
 
@@ -258,7 +258,7 @@ def build_report(reports: list[EntryReport]) -> EvalReport:
 
 def report_to_json(report: EvalReport) -> dict[str, Any]:
     payload = {
-        "entries": [asdict(r) | {"tags": list(r.tags)} for r in report.entries],
+        "entries": [{**vars(r), "tags": list(r.tags)} for r in report.entries],
         "evaluated": report.evaluated,
         "ex_before": report.ex_before,
         "ex_after": report.ex_after,

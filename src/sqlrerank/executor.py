@@ -70,13 +70,11 @@ class ExecutionResult:
         return [_counts(column) for column in self.canonical_columns]
 
     @cached_property
-    def canonical_key(self) -> str:
+    def canonical_key(self) -> tuple:
         """See `result_canonical_key`."""
-        encoded = ["|".join(map(_encode, row)) for row in self.canonical_rows]
-        if not self.order_significant:
-            encoded.sort()
-        flag = "o" if self.order_significant else "u"
-        return f"ok:{len(self.columns)}:{flag}:{';'.join(encoded)}"
+        if self.order_significant:
+            return (len(self.columns), True, self.canonical_rows)
+        return (len(self.columns), False, frozenset(self.row_counts.items()))
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def _canon(value):
         rounded = round(value, 6)
         return int(rounded) if rounded.is_integer() else rounded
     if isinstance(value, bool):
-        return ("b", value)  # encoded in keys as b:True or b:False
+        return ("b", value)
     return value
 
 
@@ -277,9 +275,9 @@ def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
 
     Numbers compare after rounding to 6 places, so 1.0000004 equals 1.0 and
     1.0000005 equals 1.000001; a whole float equals the int of its value,
-    ints compare exactly, and a bool never equals a number. Two results with
-    columns are equal exactly when their `result_canonical_key`s are, given
-    the same order flag.
+    ints compare exactly, and a bool never equals a number. Two results are
+    equal exactly when their `result_canonical_key`s are, given the same
+    order flag.
     """
     if len(a.columns) != len(b.columns) or len(a.rows) != len(b.rows):
         return False
@@ -373,34 +371,19 @@ def _extend_mapping(
     return False
 
 
-# Keys escape the separators inside text, so distinct rows never share one.
-_KEY_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", ";": "\\;"})
+def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> tuple | OutcomeKind:
+    """A hashable key: two results get equal keys exactly when they are
+    results_equal and share the order flag.
 
-
-def _encode(cell) -> str:
-    if cell is None:
-        return "~"
-    if isinstance(cell, str):
-        if "|" in cell or ";" in cell or "\\" in cell:
-            cell = cell.translate(_KEY_ESCAPES)
-        return f"t:{cell}"
-    if isinstance(cell, (int, float)):
-        return f"n:{cell!r}"
-    if isinstance(cell, tuple):
-        return f"{cell[0]}:{cell[1]}"
-    return f"t:{cell}"
-
-
-def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> str:
-    """A comparable token: two results with columns get equal tokens exactly
-    when they are results_equal and share the order flag.
-
-    Error and timeout outcomes map to reserved tokens keyed by kind alone.
-    Each row is encoded once, and unless order is significant the rows are
-    sorted by their encoded text; a result builds its token once.
+    The key is built from the views equality compares: the canonical rows
+    when order is significant, the set of (canonical row, count) pairs
+    otherwise, each beside the width and the order flag. Error and timeout
+    outcomes key as their kind alone. A result builds its key once. The set
+    iterates in an order that depends on the hash seed, so a key is for
+    comparing and hashing, never for output.
     """
     if isinstance(outcome, ExecutionOutcome):
         if outcome.kind is not OutcomeKind.OK:
-            return f"!{outcome.kind.value}"
+            return outcome.kind
         outcome = outcome.result
     return outcome.canonical_key

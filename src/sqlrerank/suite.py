@@ -1,10 +1,12 @@
 """Candidate classification, distinguishing test-suite generation, re-ranking.
 
 The selection pipeline has three steps: group candidates into behavior
-classes by executing them on the original database; generate up to N test
-databases whose classification signatures differ, asking the oracle for each
+classes by the `result_canonical_key` of their outcomes on the original
+database; generate up to N test databases whose signatures (the tuple of the
+representatives' keys on that database) differ, asking the oracle for each
 kept database's expected result; then order candidates by how many test
 cases they pass, breaking ties by generation probability and original rank.
+Signatures live only inside `generate_suite` and are never written out.
 """
 from __future__ import annotations
 
@@ -34,9 +36,6 @@ from .executor import (
 from .instance import DatabaseInstance, instance_from_json, instance_to_json
 from .oracle import build_request
 from .promptgen import PromptConfig
-
-ClassificationSignature = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -79,7 +78,6 @@ class SuiteConfig:
 @dataclass(frozen=True)
 class TestSuite:
     cases: tuple[TestCase, ...] = ()
-    signatures: tuple[ClassificationSignature, ...] = ()
     attempts: int = 0
     dropped_duplicate: int = 0
     dropped_unavailable: int = 0
@@ -125,7 +123,7 @@ def classify_candidates(
     by the lowest source_rank.
     """
     _validate_candidates(candidates)
-    by_key: dict[str, list[int]] = {}
+    by_key: dict[tuple | OutcomeKind, list[int]] = {}
     for i, candidate in enumerate(candidates):
         key = result_canonical_key(execute(session, candidate.sql))
         by_key.setdefault(key, []).append(i)
@@ -139,7 +137,7 @@ def classify_candidates(
     return classes, representatives
 
 
-def _pairwise_distinguished(signatures: list[ClassificationSignature], n_reps: int) -> bool:
+def _pairwise_distinguished(signatures: list[tuple], n_reps: int) -> bool:
     if n_reps < 2:
         return True
     for p in range(n_reps):
@@ -161,10 +159,11 @@ def generate_suite(
 
     Each iteration generates a database (pruned against all candidate SQLs
     and with aggregation/sort columns constrained to small integers), drops
-    it if its classification signature over the representatives duplicates a
-    kept one, otherwise asks the oracle for the expected result (dropping
-    the case when the oracle is unavailable). The loop stops early once the
-    kept cases distinguish every representative pair.
+    it if its signature, the tuple of each representative's
+    `result_canonical_key` on it, duplicates a kept one, otherwise asks the
+    oracle for the expected result (dropping the case when the oracle is
+    unavailable). The loop stops early once the kept cases distinguish every
+    representative pair. The signatures are not part of the suite.
 
     Each database is loaded once, into the session that computes its
     signature and serves the oracle request. A kept case owns that session,
@@ -179,8 +178,8 @@ def generate_suite(
 
     master = random.Random(config.gen.seed)
     kept_cases: list[TestCase] = []
-    kept_signatures: list[ClassificationSignature] = []
-    signature_set: set[ClassificationSignature] = set()
+    kept_signatures: list[tuple] = []
+    signature_set: set[tuple] = set()
     attempts = dropped_duplicate = dropped_unavailable = 0
     oracle_tag = getattr(oracle, "tag", "")
 
@@ -237,7 +236,6 @@ def generate_suite(
 
     return TestSuite(
         cases=tuple(kept_cases),
-        signatures=tuple(kept_signatures),
         attempts=attempts,
         dropped_duplicate=dropped_duplicate,
         dropped_unavailable=dropped_unavailable,
@@ -365,7 +363,6 @@ def suite_to_json(suite: TestSuite) -> dict[str, Any]:
             }
             for case in suite.cases
         ],
-        "signatures": [list(sig) for sig in suite.signatures],
         "attempts": suite.attempts,
         "dropped_duplicate": suite.dropped_duplicate,
         "dropped_unavailable": suite.dropped_unavailable,
@@ -383,7 +380,6 @@ def suite_from_json(payload: dict[str, Any]) -> TestSuite:
             )
             for case in payload["cases"]
         ),
-        signatures=tuple(tuple(sig) for sig in payload["signatures"]),
         attempts=payload.get("attempts", 0),
         dropped_duplicate=payload.get("dropped_duplicate", 0),
         dropped_unavailable=payload.get("dropped_unavailable", 0),

@@ -16,8 +16,11 @@ import json
 import os
 import random
 import sqlite3
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from conftest import col, make_instance, record_acceptance
 from refimpl import relaxed_equal_reference
 from test_promptgen import _golden_db, _golden_pool
 
+import sqlrerank
 from sqlrerank.cli import main
 from sqlrerank.corpus import CorpusEntry
 from sqlrerank.dbgen import GenConfig, GenMethod, generate_database
@@ -296,17 +300,15 @@ def test_suite_generation_contracts_hold_over_random_pairs(student_instance, fla
         suites_built += 1
         if len(suite.cases) > n:
             failures.append(f"trial {trial}: {len(suite.cases)} cases exceed n={n}")
-        if len(suite.signatures) != len(suite.cases):
-            failures.append(f"trial {trial}: signature/case count mismatch")
-        if len(set(suite.signatures)) != len(suite.signatures):
+        # One signature per kept case, re-derived from fresh executions.
+        keys = [
+            tuple(result_canonical_key(execute(case.db, rep.sql)) for rep in reps)
+            for case in suite.cases
+        ]
+        if len(set(keys)) != len(keys):
             failures.append(f"trial {trial}: duplicate signatures kept")
         if suite.distinguished:
             distinguished_count += 1
-            # Re-derive distinguishability from fresh executions.
-            keys = [
-                [result_canonical_key(execute(case.db, rep.sql)) for rep in reps]
-                for case in suite.cases
-            ]
             for i, j in itertools.combinations(range(len(reps)), 2):
                 if not any(k[i] != k[j] for k in keys):
                     failures.append(
@@ -839,6 +841,67 @@ def test_cli_pipeline_is_byte_deterministic(tmp_path, student_instance, capsys):
         ok,
         f"{len(first)} pipeline outputs byte-compared across two runs;"
         f" differing: {differing or 'none'}",
+    )
+    assert ok, line
+
+
+def _write_manifest(path: Path, entries: list[CorpusEntry]) -> None:
+    records = [
+        {
+            "entry_id": e.entry_id,
+            "db_id": e.db_id,
+            "db_file": e.db_file,
+            "question": e.question,
+            "candidates": [
+                {"sql": c.sql, "rank": c.source_rank, "probability": c.probability}
+                for c in e.candidates
+            ],
+            "gold_sql": e.gold_sql,
+            "tags": list(e.tags),
+        }
+        for e in entries
+    ]
+    path.write_text(json.dumps({"entries": records}))
+
+
+def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path, oracle_corpus):
+    """Result keys hold sets, whose order follows PYTHONHASHSEED; no key may
+    reach an output."""
+    entries, _ = oracle_corpus
+    _write_manifest(tmp_path / "manifest.json", entries)
+    entry = next(e for e in entries if e.entry_id == "project-name-r0")
+    (tmp_path / "cands.json").write_text(
+        json.dumps([{"sql": c.sql, "rank": c.source_rank} for c in entry.candidates])
+    )
+    src = str(Path(sqlrerank.__file__).resolve().parent.parent)
+    outputs: dict[str, dict[str, bytes]] = {}
+    for seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{seed}"
+        out.mkdir()
+        steps = [
+            ["gen-suite", "--db", entry.db_file, "--question", entry.question,
+             "--candidates-file", str(tmp_path / "cands.json"), "--out", str(out / "suite.json"),
+             "--oracle", "reference", "--gold-sql", entry.gold_sql, "--seed", "5"],
+            ["eval", "--corpus", str(tmp_path / "manifest.json"), "--oracle", "reference",
+             "--seed", "5", "--report", str(out / "report.json")],
+        ]
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        got = outputs[seed] = {}
+        for argv in steps:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sqlrerank.cli", *argv], capture_output=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            got[f"{argv[0]} stdout"] = proc.stdout
+        for name in ("suite.json", "report.json"):
+            got[name] = (out / name).read_bytes()
+    differing = sorted(name for name in got if outputs["1"][name] != got[name])
+    ok = not differing
+    line = _verdict(
+        "hash-seed",
+        ok,
+        f"{len(got)} gen-suite and eval outputs byte-compared under PYTHONHASHSEED=1"
+        f" and 2; differing: {differing or 'none'}",
     )
     assert ok, line
 

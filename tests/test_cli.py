@@ -314,10 +314,41 @@ def test_rerank_comparison_flag_overrides_config(workdir, student_instance):
     assert top1("--comparison", "relaxed") == "SELECT name, age FROM student"
 
 
+def test_rerank_reads_a_suite_file_with_stored_signatures(workdir, student_instance):
+    """Suite files once stored each kept case's signature as text keys. Such
+    a file still loads, the field is ignored, and the ranking is the same."""
+    from sqlrerank.executor import execute
+    from sqlrerank.suite import TestCase, TestSuite, suite_to_json
+
+    expected = execute(student_instance, GOLD_MIN).result
+    suite = TestSuite(
+        cases=(TestCase(student_instance, expected, "reference"),), attempts=1, distinguished=True
+    )
+    payload = suite_to_json(suite)
+    assert "signatures" not in payload
+    old = workdir / "old-suite.json"
+    old.write_text(json.dumps({**payload, "signatures": [["ok:1:u:n:23", "ok:1:u:n:20"]]}))
+    new = workdir / "suite.json"
+    new.write_text(json.dumps(payload))
+
+    def ranked(suite_path):
+        out = workdir / "outcome.json"
+        args = ("rerank", "--suite", suite_path, "--candidates-file", workdir / "cands.json")
+        assert run_cli(*args, "--out", out) == 0
+        return out.read_text()
+
+    from_old = ranked(old)
+    assert from_old == ranked(new)
+    assert json.loads(from_old)["ranked"] == [
+        {"sql": GOLD_MIN, "probability": 0.1, "source_rank": 1, "pass_count": 1},
+        {"sql": WRONG_MAX, "probability": 0.9, "source_rank": 0, "pass_count": 0},
+    ]
+
+
 @pytest.mark.parametrize(
     "suite_text,named",
-    [(None, "FileNotFoundError"), ("not json", "JSONDecodeError"), ('{"cases": []}', "signatures")],
-    ids=["no-file", "not-json", "no-signatures"],
+    [(None, "FileNotFoundError"), ("not json", "JSONDecodeError"), ('{"signatures": []}', "cases")],
+    ids=["no-file", "not-json", "no-cases"],
 )
 def test_rerank_bad_suite_file_is_an_error(workdir, capsys, suite_text, named):
     suite_path = workdir / "suite.json"

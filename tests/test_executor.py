@@ -627,7 +627,8 @@ def test_equal_infinity():
     inf = float("inf")
     assert results_equal(res([[inf]]), res([[inf]]))
     assert not results_equal(res([[inf]]), res([[-inf]]))
-    assert result_canonical_key(res([[inf], [-inf]])) == "ok:1:u:n:-inf;n:inf"
+    assert result_canonical_key(res([[inf], [-inf]])) == result_canonical_key(res([[-inf], [inf]]))
+    assert result_canonical_key(res([[inf]])) != result_canonical_key(res([[-inf]]))
 
 
 def test_canonical_rows_are_computed_once():
@@ -743,9 +744,18 @@ def test_equal_results_share_canonical_key(a, b):
 
 
 def test_canonical_key_reserved_tokens():
-    assert result_canonical_key(ExecutionOutcome.sql_error("anything")) == "!error"
-    assert result_canonical_key(ExecutionOutcome.sql_error("something else")) == "!error"
-    assert result_canonical_key(ExecutionOutcome.timeout()) == "!timeout"
+    error = result_canonical_key(ExecutionOutcome.sql_error("anything"))
+    timeout = result_canonical_key(ExecutionOutcome.timeout())
+    # Shared within a kind, whatever the message.
+    assert result_canonical_key(ExecutionOutcome.sql_error("something else")) == error
+    assert result_canonical_key(ExecutionOutcome.timeout()) == timeout
+    assert error != timeout
+    ok_results = [res([]), res([[None]]), res([["error"]]), res([["timeout"]])]
+    ok_results += [res([[1]], ordered=True), res([], width=0), res([[]], width=0)]
+    for r in ok_results:
+        for key in (error, timeout):
+            assert result_canonical_key(r) != key
+            assert result_canonical_key(ExecutionOutcome.ok(r)) != key
 
 
 def test_canonical_key_accepts_result_or_outcome():
@@ -761,6 +771,7 @@ def test_canonical_key_distinguishes_flag():
 def test_canonical_key_distinguishes_rows():
     assert result_canonical_key(res([[1]])) != result_canonical_key(res([[2]]))
     assert result_canonical_key(res([[1]])) != result_canonical_key(res([[1], [1]]))
+    assert result_canonical_key(res([], width=0)) != result_canonical_key(res([[]], width=0))
 
 
 def test_canonical_key_whole_floats_match_ints():
