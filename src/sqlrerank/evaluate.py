@@ -1,11 +1,14 @@
 """Execution-accuracy evaluation of re-ranking over a corpus.
 
-For each entry the gold SQL runs on the original database; the top-1
-candidate before and after re-ranking is checked against that result with
-the relaxed comparison. The "paper" gate mode re-ranks only entries whose
-candidate list contains at least one correct and at least one incorrect
-candidate (judging by the gold result), since re-ranking cannot help the
-all-wrong case and cannot hurt the all-right case.
+For each entry the gold SQL runs on the original database, and the
+candidates are grouped into behavior classes there. Candidates in one class
+get one verdict against any expected result, so each class's representative
+is checked against the gold result once, with the relaxed comparison, and
+the top-1 candidate before and after re-ranking takes its class's verdict.
+The "paper" gate mode re-ranks only entries whose candidate list contains at
+least one correct and at least one incorrect candidate (judging by the gold
+result), since re-ranking cannot help the all-wrong case and cannot hurt the
+all-right case.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from .dbio import read_database
 from .errors import SqlRerankError
 from .executor import OutcomeKind, Session, execute, results_equal_relaxed
 from .instance import DatabaseInstance
-from .suite import RerankOutcome, SuiteConfig, select_best
+from .suite import RerankOutcome, SuiteConfig, classify_candidates, select_best
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,8 @@ def evaluate_entry(
     except SqlRerankError as exc:  # per-entry failures are recorded, not fatal
         return EntryReport(entry_id=entry.entry_id, error=f"database load: {exc}", tags=entry.tags)
 
-    # One session on the original database serves the gold run, both top-1
-    # checks, the gate and the re-rank.
+    # One session on the original database serves the gold run, the
+    # classification, the gate, both top-1 checks and the re-rank.
     gold_outcome = execute(session, entry.gold_sql)
     if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
         return EntryReport(
@@ -161,31 +164,31 @@ def evaluate_entry(
         )
     gold_result = gold_outcome.result
 
-    verdicts: dict[str, bool] = {}  # each candidate SQL is compared once
-
-    def _correct(sql: str) -> bool:
-        if sql not in verdicts:
-            outcome = execute(session, sql)
-            verdicts[sql] = (
-                outcome.kind is OutcomeKind.OK
-                and outcome.result is not None
-                and results_equal_relaxed(outcome.result, gold_result)
-            )
-        return verdicts[sql]
-
+    # One comparison with the gold per class; its members share the verdict.
     candidates = list(entry.candidates)
-    pre_correct = _correct(candidates[0].sql)
+    classes, representatives = classify_candidates(session, candidates)
+    class_correct = []
+    for rep in representatives:
+        rep_outcome = execute(session, rep.sql)
+        class_correct.append(
+            rep_outcome.kind is OutcomeKind.OK
+            and results_equal_relaxed(rep_outcome.result, gold_result)
+        )
+    correct = {
+        candidates[i].source_rank: verdict
+        for members, verdict in zip(classes, class_correct)
+        for i in members
+    }
+    pre_correct = correct[candidates[0].source_rank]
 
-    if gate == "paper":
-        flags = [_correct(c.sql) for c in candidates]
-        if not any(flags) or all(flags):
-            return EntryReport(
-                entry_id=entry.entry_id,
-                pre_top1_correct=pre_correct,
-                post_top1_correct=pre_correct,
-                gated_out=True,
-                tags=entry.tags,
-            )
+    if gate == "paper" and (not any(class_correct) or all(class_correct)):
+        return EntryReport(
+            entry_id=entry.entry_id,
+            pre_top1_correct=pre_correct,
+            post_top1_correct=pre_correct,
+            gated_out=True,
+            tags=entry.tags,
+        )
 
     seed = entry_seed(base_seed, entry.entry_id)
     seeded = replace(config, gen=replace(config.gen, seed=seed))
@@ -201,7 +204,7 @@ def evaluate_entry(
             error=f"select_best: {exc}",
             tags=entry.tags,
         )
-    post_correct = _correct(outcome.ranked[0].sql)
+    post_correct = correct[outcome.ranked[0].source_rank]
     suite = outcome.suite
     return EntryReport(
         entry_id=entry.entry_id,

@@ -69,13 +69,6 @@ class ExecutionResult:
     def column_counts(self) -> list[dict]:
         return [_counts(column) for column in self.canonical_columns]
 
-    @cached_property
-    def canonical_key(self) -> tuple:
-        """See `result_canonical_key`."""
-        if self.order_significant:
-            return (len(self.columns), True, self.canonical_rows)
-        return (len(self.columns), False, frozenset(self.row_counts.items()))
-
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -275,9 +268,9 @@ def results_equal(a: ExecutionResult, b: ExecutionResult) -> bool:
 
     Numbers compare after rounding to 6 places, so 1.0000004 equals 1.0 and
     1.0000005 equals 1.000001; a whole float equals the int of its value,
-    ints compare exactly, and a bool never equals a number. Two results are
-    equal exactly when their `result_canonical_key`s are, given the same
-    order flag.
+    ints compare exactly, and a bool never equals a number. Results with
+    equal `result_canonical_key`s are equal; unordered results whose rows
+    come in another order are equal under other keys.
     """
     if len(a.columns) != len(b.columns) or len(a.rows) != len(b.rows):
         return False
@@ -372,18 +365,16 @@ def _extend_mapping(
 
 
 def result_canonical_key(outcome: "ExecutionOutcome | ExecutionResult") -> tuple | OutcomeKind:
-    """A hashable key: two results get equal keys exactly when they are
-    results_equal and share the order flag.
+    """A hashable key: results with equal keys get the same verdict against
+    any expected result, exact or relaxed, ordered or not.
 
-    The key is built from the views equality compares: the canonical rows
-    when order is significant, the set of (canonical row, count) pairs
-    otherwise, each beside the width and the order flag. Error and timeout
-    outcomes key as their kind alone. A result builds its key once. The set
-    iterates in an order that depends on the hash seed, so a key is for
-    comparing and hashing, never for output.
+    The key is the width, the order flag and the canonical rows in the
+    result's own order, for unordered results too, so equal keys imply
+    `results_equal` but not the converse. Error and timeout outcomes key as
+    their kind alone.
     """
     if isinstance(outcome, ExecutionOutcome):
         if outcome.kind is not OutcomeKind.OK:
             return outcome.kind
         outcome = outcome.result
-    return outcome.canonical_key
+    return (len(outcome.columns), outcome.order_significant, outcome.canonical_rows)

@@ -2,11 +2,12 @@
 
 The selection pipeline has three steps: group candidates into behavior
 classes by the `result_canonical_key` of their outcomes on the original
-database; generate up to N test databases whose signatures (the tuple of the
-representatives' keys on that database) differ, asking the oracle for each
-kept database's expected result; then order candidates by how many test
-cases they pass, breaking ties by generation probability and original rank.
-Signatures live only inside `generate_suite` and are never written out.
+database (keys keep row order, so a class gets one verdict); generate up to
+N test databases whose signatures (the tuple of the representatives' keys on
+that database) differ, asking the oracle for each kept database's expected
+result; then order candidates by how many test cases they pass, breaking
+ties by generation probability and original rank. Signatures live only
+inside `generate_suite` and are never written out.
 """
 from __future__ import annotations
 
@@ -117,10 +118,12 @@ def classify_candidates(
 ) -> tuple[list[list[int]], list[Candidate]]:
     """Group candidates by their behavior on the session's database.
 
-    Returns (classes, representatives): classes are candidate-index lists in
-    first-appearance order; each class's representative is its member with
-    the highest probability (absent probability loses to any), ties broken
-    by the lowest source_rank.
+    A class's outcomes share one `result_canonical_key`, so its members get
+    one verdict against any expected result. Returns (classes,
+    representatives): classes are candidate-index lists in first-appearance
+    order; each class's representative is its member with the highest
+    probability (absent probability loses to any), ties broken by the lowest
+    source_rank.
     """
     _validate_candidates(candidates)
     by_key: dict[tuple | OutcomeKind, list[int]] = {}

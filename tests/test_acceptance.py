@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from conftest import col, make_instance, record_acceptance
-from refimpl import relaxed_equal_reference
+from refimpl import RelaxedReference
 from test_promptgen import _golden_db, _golden_pool
 
 import sqlrerank
@@ -613,12 +613,13 @@ def _all_small_results():
 
 def test_relaxed_comparison_matches_exhaustive_reference():
     results = _all_small_results()
+    reference = RelaxedReference()
     checked = disagreements = 0
     first_bad = None
     for a in results:
         for b in results:
             checked += 1
-            if results_equal_relaxed(a, b) != relaxed_equal_reference(a, b):
+            if results_equal_relaxed(a, b) != reference(a, b):
                 disagreements += 1
                 if first_bad is None:
                     first_bad = (a, b)
@@ -865,8 +866,8 @@ def _write_manifest(path: Path, entries: list[CorpusEntry]) -> None:
 
 
 def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path, oracle_corpus):
-    """Result keys hold sets, whose order follows PYTHONHASHSEED; no key may
-    reach an output."""
+    """Set and dict orders can follow PYTHONHASHSEED; none may reach an
+    output."""
     entries, _ = oracle_corpus
     _write_manifest(tmp_path / "manifest.json", entries)
     entry = next(e for e in entries if e.entry_id == "project-name-r0")

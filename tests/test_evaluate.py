@@ -28,7 +28,7 @@ from sqlrerank.evaluate import (
 from sqlrerank.executor import Session, execute, result_canonical_key, results_equal_relaxed
 from sqlrerank.oracle import ReferenceOracle
 from sqlrerank.schema import ColumnType, SchemaGraph, Table
-from sqlrerank.suite import SuiteConfig
+from sqlrerank.suite import SuiteConfig, select_best
 
 GOLD_MIN = "SELECT min(age) FROM student"
 WRONG_MAX = "SELECT max(age) FROM student"
@@ -138,6 +138,27 @@ def test_evaluate_entry_compares_each_candidate_once(corpus, monkeypatch):
     assert len(calls) == len({c.sql for c in entry.candidates}) == 2
 
 
+def test_evaluate_entry_compares_each_class_once(corpus, tmp_path, monkeypatch):
+    calls = []
+    real_compare = sqlrerank.evaluate.results_equal_relaxed
+    monkeypatch.setattr(
+        sqlrerank.evaluate,
+        "results_equal_relaxed",
+        lambda a, b: calls.append(a) or real_compare(a, b),
+    )
+    spellings = [
+        (WRONG_MAX, 0.4),
+        ("select max(age) from student", 0.3),
+        (GOLD_MIN, 0.2),
+        ("SELECT min(age) FROM student WHERE 1=1", 0.1),
+    ]
+    (entry,) = _corpus(tmp_path, [_entry("two-classes", spellings)])
+    report = evaluate_entry(entry, reference_factory, cfg())
+    assert not report.gated_out and report.post_top1_correct
+    # Four spellings in two classes: one comparison per class.
+    assert len(calls) == 2
+
+
 def test_evaluate_entry_keeps_correct_top1(corpus):
     report = evaluate_entry(corpus[1], reference_factory, cfg())
     assert report.pre_top1_correct
@@ -221,35 +242,75 @@ def test_evaluate_entry_rejects_an_unknown_gate(corpus):
 
 
 NAMES_BY_ID = "SELECT name FROM t ORDER BY id"
+NAMES_BY_NAME = "SELECT name FROM t ORDER BY name"
 NAMES = "SELECT name FROM t"
 NAMES_GROUPED = "SELECT name FROM t GROUP BY name"
 
 
-def test_evaluate_entry_judges_each_candidate_against_an_ordered_gold(tmp_path):
-    """Two candidates with one canonical key can get different verdicts when
-    the gold is ordered: rows in the gold's order pass, the same rows
-    grouped into another order do not. So verdicts are per candidate, not
-    per class."""
+def _names_entry(tmp_path, candidates, gold):
+    """An entry on t(id, name) holding (1,'b'), (2,'a'), (3,'c'), and the instance."""
     schema = SchemaGraph(
         tables=(Table("t", (col("id", pk=True), col("name", ColumnType.TEXT))),),
         foreign_keys=(),
     )
     instance = make_instance(schema, {"t": [(1, "b"), (2, "a"), (3, "c")]})
     write_database(instance, str(tmp_path / "t.db"))
+    (entry,) = _corpus(tmp_path, [_entry("ordered", candidates, gold=gold, db_file="t.db")])
+    return entry, instance
+
+
+def test_evaluate_entry_judges_each_candidate_against_an_ordered_gold(tmp_path):
+    """Two candidates whose rows differ only in order get different verdicts
+    when the gold is ordered: rows in the gold's order pass, the same rows
+    grouped into another order do not. So their keys keep row order, and
+    they form two classes."""
+    entry, instance = _names_entry(tmp_path, [(NAMES_GROUPED, 0.6), (NAMES, 0.4)], NAMES_BY_ID)
     with Session(instance) as session:
         gold, plain, grouped = (
             execute(session, sql).result for sql in (NAMES_BY_ID, NAMES, NAMES_GROUPED)
         )
-    assert result_canonical_key(plain) == result_canonical_key(grouped)
+    assert result_canonical_key(plain) != result_canonical_key(grouped)
     assert results_equal_relaxed(plain, gold)
     assert not results_equal_relaxed(grouped, gold)
 
-    path = tmp_path / "manifest.json"
-    row = _entry("ordered", [(NAMES_GROUPED, 0.6), (NAMES, 0.4)], gold=NAMES_BY_ID, db_file="t.db")
-    path.write_text(json.dumps({"entries": [row]}))
-    (entry,) = load_corpus(str(path))
     report = evaluate_entry(entry, reference_factory, cfg())
-    assert report == EntryReport(entry_id="ordered", skipped_all_same=True)
+    # Pruning drops `id`, which no candidate reads, so the reference
+    # oracle's gold fails on every generated database.
+    assert report == EntryReport(entry_id="ordered", oracle_calls=10, oracle_unavailable=10)
+
+
+@pytest.mark.parametrize("gate", ["paper", "none"])
+def test_evaluate_entry_reranks_a_candidate_in_the_gold_order(tmp_path, gate):
+    """Candidates whose rows differ only in order are judged apart, so the
+    one in the gold's order is re-ranked to the top."""
+    entry, _ = _names_entry(tmp_path, [(NAMES, 0.6), (NAMES_GROUPED, 0.4)], NAMES_BY_NAME)
+    report = evaluate_entry(entry, reference_factory, cfg(), gate=gate)
+    assert not report.pre_top1_correct and not report.skipped_all_same
+    assert report.post_top1_correct and report.distinguished
+    assert report.oracle_calls == 1
+
+
+def test_row_order_alone_splits_classes_against_an_unordered_gold(tmp_path):
+    """The cost of keys that keep row order: against an unordered gold the
+    two candidates pass and fail together, yet they are two classes, so the
+    entry is not skipped and spends an oracle call on a case that cannot
+    separate them; that case alone counts as distinguishing them."""
+    entry, instance = _names_entry(tmp_path, [(NAMES, 0.6), (NAMES_GROUPED, 0.4)], NAMES)
+    report = evaluate_entry(entry, reference_factory, cfg(), gate="none")
+    assert report.pre_top1_correct and report.post_top1_correct
+    assert not report.skipped_all_same and report.distinguished
+    assert report.oracle_calls == 1 and report.suite_size == 1
+
+    with Session(instance) as session:
+        outcome = select_best(
+            session, entry.question, list(entry.candidates), cfg(), ReferenceOracle(NAMES)
+        )
+    assert not outcome.skipped_all_same and outcome.suite.distinguished
+    assert len(outcome.suite.cases) == outcome.suite.attempts == 1
+    assert [s.pass_count for s in outcome.scores] == [1, 1]
+    assert [c.sql for c in outcome.ranked] == [NAMES, NAMES_GROUPED]
+    # Under the paper gate both candidates are right, so the entry is gated out.
+    assert evaluate_entry(entry, reference_factory, cfg()).gated_out
 
 
 # --- the benchmark's trace mode ------------------------------------------------------

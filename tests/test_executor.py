@@ -627,7 +627,8 @@ def test_equal_infinity():
     inf = float("inf")
     assert results_equal(res([[inf]]), res([[inf]]))
     assert not results_equal(res([[inf]]), res([[-inf]]))
-    assert result_canonical_key(res([[inf], [-inf]])) == result_canonical_key(res([[-inf], [inf]]))
+    assert results_equal(res([[inf], [-inf]]), res([[-inf], [inf]]))
+    assert result_canonical_key(res([[inf], [-inf]])) == result_canonical_key(res([[inf], [-inf]]))
     assert result_canonical_key(res([[inf]])) != result_canonical_key(res([[-inf]]))
 
 
@@ -730,13 +731,20 @@ def test_unordered_row_shuffle_preserves_equality(r, rng):
     rng.shuffle(shuffled)
     other = ExecutionResult(r.columns, tuple(shuffled), False)
     assert results_equal(r, other)
-    assert result_canonical_key(r) == result_canonical_key(other)
+    same_rows = r.canonical_rows == other.canonical_rows
+    assert (result_canonical_key(r) == result_canonical_key(other)) == same_rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_results(), small_results())
 def test_equal_results_share_canonical_key(a, b):
-    if a.order_significant == b.order_significant and results_equal(a, b):
+    # Unordered results that are equal with their rows in another order key
+    # apart; equal results with the same flag and the same row order share one.
+    if (
+        a.order_significant == b.order_significant
+        and results_equal(a, b)
+        and a.canonical_rows == b.canonical_rows
+    ):
         assert result_canonical_key(a) == result_canonical_key(b)
 
 
@@ -792,8 +800,13 @@ def _rounded(value):
 @settings(max_examples=300, deadline=None)
 @given(small_results(), small_results())
 def test_equal_iff_same_canonical_key(a, b):
+    """Equal keys imply equal results; the converse holds where order counts."""
     b = ExecutionResult(b.columns, b.rows, a.order_significant)
-    assert results_equal(a, b) == (result_canonical_key(a) == result_canonical_key(b))
+    same_key = result_canonical_key(a) == result_canonical_key(b)
+    if same_key:
+        assert results_equal(a, b)
+    if a.order_significant:
+        assert results_equal(a, b) == same_key
 
 
 @settings(max_examples=300, deadline=None)
@@ -845,9 +858,50 @@ def test_equal_width_equality_implies_relaxed(a, data):
 @settings(max_examples=150, deadline=None)
 @given(small_results(), st.data())
 def test_unordered_canonical_key_ignores_row_permutation(r, data):
+    """Permuted unordered rows stay equal; they share a key only when the
+    permutation leaves the canonical rows in place."""
     unordered = ExecutionResult(r.columns, r.rows, False)
     permuted = ExecutionResult(r.columns, tuple(data.draw(st.permutations(r.rows))), False)
-    assert result_canonical_key(permuted) == result_canonical_key(unordered)
+    assert results_equal(permuted, unordered)
+    same_rows = permuted.canonical_rows == unordered.canonical_rows
+    assert (result_canonical_key(permuted) == result_canonical_key(unordered)) == same_rows
+
+
+def _whole_float_twin(r, data):
+    """r with some int cells as whole floats and, sometimes, its rows permuted."""
+    rows = [
+        tuple(
+            float(v) if type(v) is int and abs(v) <= 2**53 and data.draw(st.booleans()) else v
+            for v in row
+        )
+        for row in r.rows
+    ]
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(rows))
+    return ExecutionResult(r.columns, tuple(rows), r.order_significant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_results(), st.data())
+def test_equal_keys_give_one_verdict_against_any_expected(a, data):
+    """Classification agrees with pass checking: results that share a key
+    get the same verdict against any expected result, exact or relaxed,
+    ordered or not, in both argument orders."""
+    b = _whole_float_twin(a, data)
+    if data.draw(st.booleans()):
+        expected = data.draw(small_results())
+    else:
+        # a's rows in some order, projected onto some of its columns.
+        width = len(a.columns)
+        mapping = data.draw(st.permutations(range(width)))[: data.draw(st.integers(1, width))]
+        rows = data.draw(st.permutations([tuple(row[i] for i in mapping) for row in a.rows]))
+        columns = tuple(f"e{i}" for i in mapping)
+        expected = ExecutionResult(columns, tuple(rows), data.draw(st.booleans()))
+    if result_canonical_key(a) != result_canonical_key(b):
+        return
+    for compare in (results_equal, results_equal_relaxed):
+        assert compare(a, expected) == compare(b, expected)
+        assert compare(expected, a) == compare(expected, b)
 
 
 def test_canonical_rows_are_the_rows_when_every_cell_is_canonical():
