@@ -28,7 +28,7 @@ from .schema import (
     reverse_topo_order,
     topo_order_parents_first,
 )
-from .sqlanalysis import SqlAnalysis, analyze_all, has_natural_join
+from .sqlanalysis import SqlAnalysis, analyze_all, joins_by_column_name
 
 log = logging.getLogger(__name__)
 
@@ -325,35 +325,33 @@ def prune_schema(
     Columns that carry a foreign key between two retained tables survive even
     if unreferenced, so the pruned instance still satisfies its FKs. A
     retained table with no referenced columns keeps its primary key (or first
-    column). The candidates are analysed again on the pruned schema, and the
-    targets come from that pass. If nothing parses, or a candidate that
-    parsed no longer does (SQLite does not report the columns of a USING
-    join as read), the input is returned unchanged. It is also returned
-    unchanged, with the first pass's targets, when a candidate has a NATURAL
-    join: SQLite does not report its shared columns as read either, and
-    without them the join still compiles, as a cross join.
+    column). The targets are the analysed aggregate and sort columns judged
+    on the pruned schema, where a column of a partly pruned composite key is
+    no longer a key. The input is returned unchanged if nothing parses, or,
+    with the targets judged on it, if a candidate joins by column name:
+    SQLite reports no read of a NATURAL join's shared columns, nor any of a
+    USING join's right-hand table.
     """
     analyses, _warnings = analyze_all(candidate_sqls, db.schema)
     if not analyses:
         log.warning("no candidate SQL parsed; returning the instance unpruned")
         return db, set()
-    if any(has_natural_join(a.sql) for a in analyses):
-        log.warning("a candidate has a NATURAL join; returning the instance unpruned")
+    if any(joins_by_column_name(a.sql) for a in analyses):
+        log.warning("a candidate joins by column name; returning the instance unpruned")
         return db, _numeric_targets(db.schema, analyses)
 
-    schema = db.schema
     used_tables: set[str] = set()
     used_columns: set[tuple[str, str]] = set()
     for analysis in analyses:
         used_tables |= analysis.tables
         used_columns |= analysis.columns
 
-    kept_tables = [t for t in schema.tables if t.name in used_tables]
+    kept_tables = [t for t in db.schema.tables if t.name in used_tables]
     kept_names = {t.name.lower() for t in kept_tables}
 
     fk_keep: set[tuple[str, str]] = set()
     kept_fks: list[ForeignKey] = []
-    for fk in schema.foreign_keys:
+    for fk in db.schema.foreign_keys:
         if fk.child_table.lower() in kept_names and fk.parent_table.lower() in kept_names:
             fk_keep.add((fk.child_table.lower(), fk.child_column.lower()))
             fk_keep.add((fk.parent_table.lower(), fk.parent_column.lower()))
@@ -378,11 +376,6 @@ def prune_schema(
         projections[table.name] = idxs if len(idxs) < len(table.columns) else None
 
     new_schema = SchemaGraph(tables=tuple(new_tables), foreign_keys=tuple(kept_fks))
-    checked, _warnings = analyze_all([a.sql for a in analyses], new_schema)
-    if len(checked) < len(analyses):
-        log.warning("pruning broke a candidate; returning the instance unpruned")
-        return db, _numeric_targets(schema, analyses)
-
     data: dict[str, TableData] = {}
     for table in new_tables:
         rows = db.data_for(table.name).rows
@@ -391,4 +384,4 @@ def prune_schema(
             pick = itemgetter(*idxs)
             rows = tuple(map(pick, rows)) if len(idxs) > 1 else tuple(zip(map(pick, rows)))
         data[table.name] = TableData(table.name, table.column_names(), rows)
-    return DatabaseInstance(schema=new_schema, tables=data), _numeric_targets(new_schema, checked)
+    return DatabaseInstance(schema=new_schema, tables=data), _numeric_targets(new_schema, analyses)

@@ -4,16 +4,19 @@ from __future__ import annotations
 import os
 import sqlite3
 
-from .errors import FileUnreadable
+from .errors import FileUnreadable, MalformedDatabase
 from .instance import DatabaseInstance, TableData
 from .schema import SchemaGraph, Table, introspect_schema, quote_ident, schema_from_connection
 
 
 def sql_literal(value) -> str:
+    """The SQL text of a cell; refuses an int SQLite would read as a REAL."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
         return "1" if value else "0"
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        raise MalformedDatabase(f"integer {value} is outside SQLite's 64-bit range")
     if isinstance(value, (int, float)):
         return repr(value)
     return "'" + str(value).replace("'", "''") + "'"

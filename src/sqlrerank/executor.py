@@ -165,9 +165,10 @@ class Session:
     def _connection(self) -> sqlite3.Connection | None:
         if self._conn is None and self._load_failure is None:
             conn = sqlite3.connect(":memory:")
+            # An int outside SQLite's 64-bit range raises OverflowError.
             try:
                 load_into_connection(self.db, conn)
-            except sqlite3.Error as exc:
+            except (sqlite3.Error, OverflowError) as exc:
                 conn.close()
                 self._load_failure = ExecutionOutcome.sql_error(f"instance load failed: {exc}")
                 return None

@@ -219,13 +219,13 @@ class _Reading(NamedTuple):
     """What a SQL text says by itself, or why the tokenizer rejects it."""
 
     ordered: bool  # the statement itself, not a subquery, has an ORDER BY
-    natural: bool  # the word NATURAL occurs
+    by_name: bool  # the word NATURAL or USING occurs: a join by column name
     refs: tuple[tuple[str | None, str], ...]  # see _agg_and_sort_refs
     names: frozenset[tuple[str, str]]  # see _names_of, for the qualifiers in refs
     error: str | None = None
 
 
-# Every candidate is analyzed twice per entry and executed on several
+# Every candidate is analyzed once per entry and executed on several
 # instances, so each text is tokenized once. The record keeps no Token, and
 # names only for the qualifiers its refs use.
 @functools.lru_cache(maxsize=4096)
@@ -246,7 +246,8 @@ def _read(sql: str) -> _Reading:
             break
     refs = tuple(_agg_and_sort_refs(tokens, words))
     qualifiers = {q.lower() for q, _name in refs if q is not None}
-    return _Reading(ordered, "natural" in words, refs, _names_of(words, qualifiers))
+    by_name = "natural" in words or "using" in words
+    return _Reading(ordered, by_name, refs, _names_of(words, qualifiers))
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,7 @@ def has_top_level_order_by(sql: str) -> bool:
     return _read(sql).ordered
 
 
-def has_natural_join(sql: str) -> bool:
-    """True if the word NATURAL occurs in the statement, as in a NATURAL join."""
-    return _read(sql).natural
+def joins_by_column_name(sql: str) -> bool:
+    """True if the word NATURAL or USING occurs in the statement, as in a
+    join on the columns two tables share by name."""
+    return _read(sql).by_name

@@ -482,6 +482,34 @@ def test_pruned_instance_runs_every_candidate(request, fixture, sql):
         assert results_equal(outcome.result, execute(db, query).result), query
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT name, grade FROM student JOIN enrollment USING (student_id)",
+        "SELECT name, grade FROM student NATURAL JOIN enrollment",
+    ],
+)
+def test_a_join_by_column_name_leaves_the_instance_unpruned(student_instance, sql):
+    """SQLite reports no read of a USING join's right-hand table, nor of a
+    NATURAL join's shared columns. The cost: this USING candidate would
+    still run on `student(student_id, name)` and `enrollment(student_id,
+    grade)`, yet it too gets the whole instance."""
+    pruned, targets = prune_schema(student_instance, [sql, "SELECT count(*) FROM student"])
+    assert pruned is student_instance
+    assert targets == set()
+
+
+def test_prune_targets_a_column_of_a_partly_pruned_composite_key():
+    schema = SchemaGraph(tables=(Table("pair", (col("x", pk=True), col("y", pk=True), col("v"))),))
+    db = make_instance(schema, {"pair": [(1, 1, 5), (1, 2, 6), (2, 1, 7)]})
+    pruned, targets = prune_schema(db, ["SELECT x FROM pair ORDER BY x"])
+    assert pruned.schema.table("pair").columns == (col("x"),)
+    assert targets == {("pair", "x")}
+    pruned, targets = prune_schema(db, ["SELECT x, y FROM pair ORDER BY x"])
+    assert pruned.schema.table("pair").columns == (col("x", pk=True), col("y", pk=True))
+    assert targets == set()
+
+
 def test_prune_keeps_and_targets_cte_aggregate(student_instance):
     sqls = [
         "WITH s AS (SELECT age FROM student) SELECT max(age) FROM s",

@@ -1,7 +1,7 @@
 import sqlite3
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlrerank.dbio import (
@@ -14,7 +14,7 @@ from sqlrerank.dbio import (
     sql_literal,
     write_database,
 )
-from sqlrerank.errors import FileUnreadable
+from sqlrerank.errors import FileUnreadable, MalformedDatabase
 from sqlrerank.schema import ColumnType, SchemaGraph, Table
 
 from conftest import col, make_instance
@@ -140,13 +140,31 @@ strange = st.text(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), strange, st.none()))
+@given(
+    st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.floats(allow_nan=False, allow_infinity=False),
+        strange,
+        st.none(),
+    )
+)
+@example(2**63 - 1)
+@example(-(2**63))
 def test_sql_literal_survives_sqlite(value):
     got = sqlite3.connect(":memory:").execute(f"SELECT {sql_literal(value)}").fetchone()[0]
     if isinstance(value, float):
         assert got == pytest.approx(value, abs=0, rel=1e-15)
     else:
         assert got == value
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.integers(min_value=2**63), st.integers(max_value=-(2**63) - 1)))
+@example(2**63)
+@example(-(2**63) - 1)
+def test_sql_literal_refuses_ints_sqlite_would_read_as_real(value):
+    with pytest.raises(MalformedDatabase, match="outside SQLite's 64-bit range"):
+        sql_literal(value)
 
 
 @settings(max_examples=60, deadline=None)

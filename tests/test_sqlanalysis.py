@@ -11,6 +11,7 @@ from sqlrerank.sqlanalysis import (
     analyze,
     analyze_all,
     has_top_level_order_by,
+    joins_by_column_name,
     tokenize,
 )
 
@@ -277,6 +278,20 @@ def test_using_join(student_instance):
     assert execute(pruned, sql).kind is OutcomeKind.OK
 
 
+@pytest.mark.parametrize(
+    "sql,by_name",
+    [
+        ("SELECT name FROM student JOIN enrollment USING (student_id)", True),
+        ("SELECT name FROM student NATURAL LEFT JOIN enrollment", True),
+        ("SELECT name FROM student WHERE name = 'natural using'", False),
+        ("SELECT name FROM student JOIN enrollment"
+         " ON student.student_id = enrollment.student_id", False),
+    ],
+)
+def test_joins_by_column_name(sql, by_name):
+    assert joins_by_column_name(sql) is by_name
+
+
 def test_case_expression(student_schema):
     a = analyze(
         "SELECT CASE WHEN age > 21 THEN 'x' ELSE name END FROM student", student_schema
@@ -385,7 +400,7 @@ def test_each_text_is_tokenized_once(student_instance, tokenize_calls):
     ]
     for sql in sqls:
         has_top_level_order_by(sql)
-    prune_schema(student_instance, sqls)  # analyzes every text twice
+    prune_schema(student_instance, sqls)  # analyzes every text once more
     assert sorted(tokenize_calls) == sorted(sqls)
 
 
