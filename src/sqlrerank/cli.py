@@ -144,19 +144,21 @@ def _cmd_gen_suite(args) -> int:
     oracle = _build_oracle(args, _reply_cache(args))
     with Session(db) as session:
         classes, representatives = classify_candidates(session, candidates)
-    if len(classes) <= 1:
+        suite = None
+        if len(classes) > 1:
+            suite = generate_suite(
+                session,
+                args.question,
+                representatives,
+                suite_config,
+                oracle,
+                all_sqls=[c.sql for c in candidates],
+            )
+            suite.close()
+    if suite is None:
         print("skipped: all candidates fall into one behavior class")
         payload = suite_to_json(TestSuite())
     else:
-        suite = generate_suite(
-            db,
-            args.question,
-            representatives,
-            suite_config,
-            oracle,
-            all_sqls=[c.sql for c in candidates],
-        )
-        suite.close()
         payload = suite_to_json(suite)
         print(
             f"classes: {len(classes)}; cases kept: {len(suite.cases)};"

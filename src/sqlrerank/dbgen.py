@@ -3,20 +3,23 @@
 Two methods: fuzzing (synthetic random cells, parents generated first so FK
 children can sample from parent columns) and random selection (whole rows
 sampled from the original, children generated first so their referenced
-parent rows can be carried over). Plus two pre-generation transforms driven
-by SQL analysis of the candidate queries: schema pruning and number-range
-constraining for aggregation/sort columns.
+parent rows can be carried over). Both can generate on a pruning of the
+original's schema. Plus the analysis that drives them: schema pruning, and
+the aggregation/sort columns whose numbers are constrained to a small range.
 """
 from __future__ import annotations
 
 import logging
 import random
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress, filterfalse
 from operator import itemgetter
 
 from .errors import CyclicForeignKeys, MalformedDatabase, TargetIsForeignKey, UnknownColumn
+from .executor import Session
 from .instance import Cell, DatabaseInstance, TableData, column_index
 from .schema import (
     ColumnDef,
@@ -171,18 +174,30 @@ def fuzz_database(schema: SchemaGraph, config: GenConfig) -> DatabaseInstance:
     return DatabaseInstance(schema=schema, tables=data)
 
 
-def sample_database(original: DatabaseInstance, config: GenConfig) -> DatabaseInstance:
-    """Build a new instance out of whole rows sampled from the original.
+def _rows_where(rows: tuple[tuple, ...], index: int, values: set[Cell]) -> Iterator[int]:
+    """The indices of the rows whose cell at `index` is in `values`, in one
+    pass in C."""
+    return compress(range(len(rows)), map(values.__contains__, map(itemgetter(index), rows)))
+
+
+def sample_database(
+    original: DatabaseInstance, config: GenConfig, schema: SchemaGraph | None = None
+) -> DatabaseInstance:
+    """Build a new instance out of whole rows sampled from the original and
+    projected onto `schema`, a pruning of its schema (`prune_schema`), or
+    onto its own schema when None.
 
     Children are processed first; each table keeps every original row that a
     selected child row references (even beyond mts), then fills up to mts
     with distinct randomly chosen remaining rows. Output rows keep the
-    original table's relative order.
+    original table's relative order. Rows are picked by index and only the
+    picked ones are projected, so the draw equals one on the projected
+    original.
     """
     if config.method is not GenMethod.RANDOM_SELECTION:
         raise ValueError("config.method must be RANDOM_SELECTION")
     rng = random.Random(config.seed)
-    schema = original.schema
+    schema = original.schema if schema is None else schema
     order = reverse_topo_order(schema)
     selected: dict[str, list[int]] = {}
     data: dict[str, TableData] = {}
@@ -192,7 +207,7 @@ def sample_database(original: DatabaseInstance, config: GenConfig) -> DatabaseIn
         source = original.data_for(tname)
         rows = source.rows
 
-        needed_values: list[tuple[int, set[Cell]]] = []
+        picked_set: set[int] = set()
         for fk in schema.foreign_keys_into(tname):
             if fk.child_table.lower() == tname.lower():
                 continue  # self references are closed over below
@@ -201,16 +216,13 @@ def sample_database(original: DatabaseInstance, config: GenConfig) -> DatabaseIn
             chosen = selected.get(fk.child_table.lower(), [])
             values = {child.rows[i][ci] for i in chosen} - {None}
             if values:
-                needed_values.append((column_index(source, fk.parent_column), values))
-
-        picked = [
-            i for i, row in enumerate(rows)
-            if any(row[pi] in values for pi, values in needed_values)
-        ] if needed_values else []
-        picked_set = set(picked)
-        if len(picked) < config.mts:
-            remaining = [i for i in range(len(rows)) if i not in picked_set]
-            need = min(config.mts - len(picked), len(remaining))
+                picked_set.update(_rows_where(rows, column_index(source, fk.parent_column), values))
+        if len(picked_set) < config.mts:
+            remaining = (
+                list(filterfalse(picked_set.__contains__, range(len(rows))))
+                if picked_set else range(len(rows))
+            )
+            need = min(config.mts - len(picked_set), len(remaining))
             if need:
                 picked_set.update(rng.sample(remaining, need))
 
@@ -231,20 +243,21 @@ def sample_database(original: DatabaseInstance, config: GenConfig) -> DatabaseIn
                     missing |= want - have
                 if not missing:
                     break
-                closure = [
-                    i for i in range(len(rows))
-                    if i not in picked_set
-                    and any(rows[i][pi] in missing for _ci, pi in pairs)
-                ]
+                closure = {i for _ci, pi in pairs for i in _rows_where(rows, pi, missing)}
+                closure -= picked_set
                 if not closure:
                     break  # original itself violates the FK; nothing to add
-                picked_set.update(closure)
+                picked_set |= closure
 
         final = sorted(picked_set)
         selected[tname.lower()] = final
-        data[table.name] = TableData(
-            table.name, source.columns, tuple(rows[i] for i in final)
-        )
+        picked, columns = tuple(rows[i] for i in final), source.columns
+        idxs = [column_index(source, c) for c in table.column_names()]
+        if len(idxs) < len(columns):  # some column is pruned
+            pick = itemgetter(*idxs)
+            picked = tuple(map(pick, picked)) if len(idxs) > 1 else tuple(zip(map(pick, picked)))
+            columns = table.column_names()
+        data[table.name] = TableData(table.name, columns, picked)
 
     return DatabaseInstance(schema=schema, tables=data)
 
@@ -317,28 +330,34 @@ def _numeric_targets(
 
 
 def prune_schema(
-    db: DatabaseInstance, candidate_sqls: list[str]
-) -> tuple[DatabaseInstance, set[tuple[str, str]]]:
-    """Drop tables and columns no candidate reads; return the pruned instance
-    and the number-constraining targets on it.
+    original: DatabaseInstance | Session, candidate_sqls: list[str]
+) -> tuple[SchemaGraph, set[tuple[str, str]]]:
+    """The original's schema without the tables and columns no candidate
+    reads, and the number-constraining targets on it.
 
-    Columns that carry a foreign key between two retained tables survive even
-    if unreferenced, so the pruned instance still satisfies its FKs. A
-    retained table with no referenced columns keeps its primary key (or first
-    column). The targets are the analysed aggregate and sort columns judged
-    on the pruned schema, where a column of a partly pruned composite key is
-    no longer a key. The input is returned unchanged if nothing parses, or,
-    with the targets judged on it, if a candidate joins by column name:
-    SQLite reports no read of a NATURAL join's shared columns, nor any of a
-    USING join's right-hand table.
+    The analysis runs on the session given, or on a one-shot session over
+    the instance. Columns that carry a foreign key between two retained
+    tables survive even if unreferenced, so an instance sampled onto the
+    pruned schema still satisfies its FKs. A retained table with no
+    referenced columns keeps its primary key (or first column). The targets
+    are the analysed aggregate and sort columns judged on the pruned schema,
+    where a column of a partly pruned composite key is no longer a key. The
+    original's schema is returned if nothing parses, or, with the targets
+    judged on it, if a candidate joins by column name: SQLite reports no
+    read of a NATURAL join's shared columns, nor any of a USING join's
+    right-hand table.
     """
-    analyses, _warnings = analyze_all(candidate_sqls, db.schema)
+    if not isinstance(original, Session):
+        with Session(original) as session:
+            return prune_schema(session, candidate_sqls)
+    schema = original.db.schema
+    analyses, _warnings = analyze_all(original, candidate_sqls)
     if not analyses:
-        log.warning("no candidate SQL parsed; returning the instance unpruned")
-        return db, set()
+        log.warning("no candidate SQL parsed; returning the schema unpruned")
+        return schema, set()
     if any(joins_by_column_name(a.sql) for a in analyses):
-        log.warning("a candidate joins by column name; returning the instance unpruned")
-        return db, _numeric_targets(db.schema, analyses)
+        log.warning("a candidate joins by column name; returning the schema unpruned")
+        return schema, _numeric_targets(schema, analyses)
 
     used_tables: set[str] = set()
     used_columns: set[tuple[str, str]] = set()
@@ -346,19 +365,18 @@ def prune_schema(
         used_tables |= analysis.tables
         used_columns |= analysis.columns
 
-    kept_tables = [t for t in db.schema.tables if t.name in used_tables]
+    kept_tables = [t for t in schema.tables if t.name in used_tables]
     kept_names = {t.name.lower() for t in kept_tables}
 
     fk_keep: set[tuple[str, str]] = set()
     kept_fks: list[ForeignKey] = []
-    for fk in db.schema.foreign_keys:
+    for fk in schema.foreign_keys:
         if fk.child_table.lower() in kept_names and fk.parent_table.lower() in kept_names:
             fk_keep.add((fk.child_table.lower(), fk.child_column.lower()))
             fk_keep.add((fk.parent_table.lower(), fk.parent_column.lower()))
             kept_fks.append(fk)
 
     new_tables: list[Table] = []
-    projections: dict[str, list[int] | None] = {}
     for table in kept_tables:
         tkey = table.name.lower()
         wanted = {c.lower() for (t, c) in used_columns if t.lower() == tkey}
@@ -372,16 +390,6 @@ def prune_schema(
         if not pk_intact:
             kept_cols = [replace(c, is_primary_key=False) for c in kept_cols]
         new_tables.append(Table(name=table.name, columns=tuple(kept_cols)))
-        idxs = [i for i, c in enumerate(table.columns) if c.name.lower() in wanted]
-        projections[table.name] = idxs if len(idxs) < len(table.columns) else None
 
     new_schema = SchemaGraph(tables=tuple(new_tables), foreign_keys=tuple(kept_fks))
-    data: dict[str, TableData] = {}
-    for table in new_tables:
-        rows = db.data_for(table.name).rows
-        idxs = projections[table.name]
-        if idxs is not None:  # some column is dropped
-            pick = itemgetter(*idxs)
-            rows = tuple(map(pick, rows)) if len(idxs) > 1 else tuple(zip(map(pick, rows)))
-        data[table.name] = TableData(table.name, table.column_names(), rows)
-    return DatabaseInstance(schema=new_schema, tables=data), _numeric_targets(new_schema, analyses)
+    return new_schema, _numeric_targets(new_schema, analyses)

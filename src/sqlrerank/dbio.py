@@ -1,6 +1,7 @@
 """Moving database instances between memory, SQLite files, and SQL scripts."""
 from __future__ import annotations
 
+import math
 import os
 import sqlite3
 
@@ -10,13 +11,16 @@ from .schema import SchemaGraph, Table, introspect_schema, quote_ident, schema_f
 
 
 def sql_literal(value) -> str:
-    """The SQL text of a cell; refuses an int SQLite would read as a REAL."""
+    """The SQL text of a cell; refuses an int SQLite would read as a REAL,
+    and a NaN or infinite float, which has no SQL literal."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int) and not -(2**63) <= value < 2**63:
         raise MalformedDatabase(f"integer {value} is outside SQLite's 64-bit range")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MalformedDatabase(f"float {value} has no SQL literal")
     if isinstance(value, (int, float)):
         return repr(value)
     return "'" + str(value).replace("'", "''") + "'"

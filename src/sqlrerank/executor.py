@@ -11,7 +11,7 @@ from itertools import chain
 
 from .dbio import load_into_connection
 from .instance import DatabaseInstance, check_row_widths
-from .sqlanalysis import READ_ACTIONS, has_top_level_order_by
+from .sqlanalysis import READ_ACTIONS, has_top_level_order_by, spelling
 
 # Seconds a statement may run before its outcome is a timeout.
 DEFAULT_TIMEOUT = 5.0
@@ -95,31 +95,39 @@ def _normalize_cell(value):
     return value
 
 
-def _authorize_read(action: int, *_args) -> int:
-    return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
-
-
 class Session:
     """A DatabaseInstance loaded into a private, read-only connection.
 
-    This is the one place that turns (instance, SQL) into an outcome. The
-    instance is loaded, by inserting its rows, on the first statement that
-    is not memoized; a load failure is the outcome of every statement. After
-    the load only reading statements are authorized, so no statement can
-    change what a later one sees. Each statement may run for DEFAULT_TIMEOUT
-    seconds, read when it starts, and outcomes, errors and timeouts
-    included, are memoized per SQL text. `close` releases the connection and
-    keeps the memo, so a later new statement loads the instance again. Run
-    statements through `execute(session, sql)`.
+    This is the one place that turns (instance, SQL) into an outcome, and the
+    one place SQL is compiled on it. The instance is loaded, by inserting its
+    rows, on the first statement that is not memoized; a load failure is the
+    outcome of every statement. After the load only reading statements are
+    authorized, so no statement can change what a later one sees. Each
+    statement may run for DEFAULT_TIMEOUT seconds, read when it starts, and
+    outcomes, errors and timeouts included, are memoized per SQL text.
+    `close` releases the connection and keeps the memo, so a later new
+    statement loads the instance again. Run statements through
+    `execute(session, sql)`.
 
-    A session made `by_program` also memoizes by compiled program (order
-    flag and `EXPLAIN` listing, plus the text where EXPLAIN prints an operand
-    lossily or fails), so a new spelling of a statement it ran is not run.
-    As EXPLAIN costs about a small statement, keying starts once one
+    The authorizer records the (table, column) reads of every compile that
+    succeeds, the run of a statement or its program-key EXPLAIN, keyed by
+    the text's spelling (see `sqlanalysis.spelling`); `reads` serves
+    `sqlanalysis.analyze_all` from those records. The connection caches no
+    statement, so every compile reaches the authorizer, and the memo
+    compiles no text twice.
+
+    A session made `by_program` also memoizes by spelling (order flag and
+    normal form), so a respelling in keyword case, layout, comments or a
+    trailing `;` of a statement that ran without error is not run or
+    explained; a statement that errs runs by itself, so its message quotes
+    its own text. It memoizes by compiled program too (order flag and
+    `EXPLAIN` listing, plus the text where EXPLAIN prints an operand lossily
+    or fails), so an alias spelling of a statement it ran is not run. As
+    EXPLAIN costs about a small statement, keying by program starts once one
     statement runs _KEYING_STEPS progress steps or times out, and covers the
     statements run so far; on small instances it never starts. A shared
     outcome carries the first spelling's column labels; plain sessions,
-    whose labels `render_answer` reads, memoize per text only.
+    whose labels `render_answer` reads, memoize outcomes per text only.
     """
 
     def __init__(self, db: DatabaseInstance, by_program: bool = False):
@@ -127,8 +135,12 @@ class Session:
         self._by_program = by_program
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
-        # Outcomes by SQL text, and by program key once the session keys by it.
+        # Outcomes by SQL text, by spelling on sessions made by_program, and
+        # by program key once the session keys by it.
         self._memo: dict[str | tuple, ExecutionOutcome] = {}
+        # Reads by spelling, and the reads of the latest compile.
+        self._reads: dict[str, frozenset[tuple[str, str]]] = {}
+        self._compiled: set[tuple[str, str]] = set()
         self._stepped = self._keyed = False
 
     def __enter__(self) -> Session:
@@ -150,21 +162,45 @@ class Session:
                 outcome = self._load_failure
             else:
                 ordered = has_top_level_order_by(sql)
-                key = self._program_key(conn, sql, ordered)
-                outcome = self._memo.get(key) or self._execute(conn, sql, ordered)
-                self._memo.setdefault(key, outcome)
+                spelled = spelling(sql)
+                by_spelling = (ordered, spelled) if self._by_program and spelled else None
+                outcome = self._memo.get(by_spelling)
+                if outcome is None:
+                    key = self._program_key(conn, sql, ordered, spelled)
+                    outcome = self._memo.get(key) or self._execute(conn, sql, ordered, spelled)
+                    self._memo.setdefault(key, outcome)
+                    if by_spelling and outcome.kind is not OutcomeKind.SQL_ERROR:
+                        self._memo[by_spelling] = outcome
             self._memo[sql] = outcome
             if self._stepped and not self._keyed and self._by_program:
                 self._keyed = True
                 for text, known in list(self._memo.items()):
+                    if not isinstance(text, str):
+                        continue  # a spelling key
                     result = known.result
                     ordered = result.order_significant if result else has_top_level_order_by(text)
-                    self._memo.setdefault(self._program_key(conn, text, ordered), known)
+                    key = self._program_key(conn, text, ordered, spelling(text))
+                    self._memo.setdefault(key, known)
         return outcome
+
+    def reads(self, sql: str) -> frozenset[tuple[str, str]]:
+        """The (table, column) pairs that compiling `EXPLAIN <sql>` here
+        reads, as the authorizer reports them once SQLite has resolved the
+        names: the record of a spelling already compiled, or a compile now.
+        Raises what the compile raises, sqlite3's errors or TimeoutError."""
+        spelled = spelling(sql)
+        reads = self._reads.get(spelled)
+        if reads is None:
+            conn = self._connection()
+            if conn is None:
+                raise sqlite3.OperationalError(self._load_failure.message)
+            self._fetch(conn, "EXPLAIN " + sql, spelled)
+            reads = frozenset(self._compiled)
+        return reads
 
     def _connection(self) -> sqlite3.Connection | None:
         if self._conn is None and self._load_failure is None:
-            conn = sqlite3.connect(":memory:")
+            conn = sqlite3.connect(":memory:", cached_statements=0)
             # An int outside SQLite's 64-bit range raises OverflowError.
             try:
                 load_into_connection(self.db, conn)
@@ -172,12 +208,20 @@ class Session:
                 conn.close()
                 self._load_failure = ExecutionOutcome.sql_error(f"instance load failed: {exc}")
                 return None
-            conn.set_authorizer(_authorize_read)
+            record = self._compiled.add
+
+            def authorize(action: int, table, column, *_rest) -> int:
+                if action == sqlite3.SQLITE_READ:
+                    record((table, column))
+                return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
+
+            conn.set_authorizer(authorize)
             self._conn = conn
         return self._conn
 
-    def _fetch(self, conn: sqlite3.Connection, sql: str) -> tuple[tuple, list]:
-        """The description and rows of `sql`; raises TimeoutError or SQLite's error."""
+    def _fetch(self, conn: sqlite3.Connection, sql: str, spelled: str | None) -> tuple[tuple, list]:
+        """The description and rows of `sql`, recording its reads under
+        `spelled` if given; raises TimeoutError or SQLite's error."""
         deadline = time.monotonic() + DEFAULT_TIMEOUT
         steps, timed_out = 0, False
 
@@ -190,19 +234,25 @@ class Session:
             return timed_out
 
         conn.set_progress_handler(_check, _PROGRESS_STEP)
+        self._compiled.clear()
         try:
             cursor = conn.execute(sql)
-            return cursor.description, cursor.fetchall()
+            rows = cursor.fetchall()
         except (sqlite3.Error, sqlite3.Warning):
             if timed_out:
                 raise TimeoutError from None
             raise
+        if spelled is not None:
+            self._reads.setdefault(spelled, frozenset(self._compiled))
+        return cursor.description, rows
 
-    def _program_key(self, conn: sqlite3.Connection, sql: str, ordered: bool) -> tuple | str:
+    def _program_key(
+        self, conn: sqlite3.Connection, sql: str, ordered: bool, spelled: str | None
+    ) -> tuple | str:
         if not self._keyed:
             return sql
         try:
-            description, listing = self._fetch(conn, "EXPLAIN " + sql)
+            description, listing = self._fetch(conn, "EXPLAIN " + sql, spelled)
         except (TimeoutError, sqlite3.Error, sqlite3.Warning):
             return sql
         if description[1][0] != "opcode":
@@ -211,9 +261,11 @@ class Session:
         lossy = any(row[1] in ("Real", "Blob") for row in listing)
         return (ordered, tuple(listing)) + ((sql,) if lossy else ())
 
-    def _execute(self, conn: sqlite3.Connection, sql: str, ordered: bool) -> ExecutionOutcome:
+    def _execute(
+        self, conn: sqlite3.Connection, sql: str, ordered: bool, spelled: str | None
+    ) -> ExecutionOutcome:
         try:
-            description, rows = self._fetch(conn, sql)
+            description, rows = self._fetch(conn, sql, spelled)
         except TimeoutError:
             return ExecutionOutcome.timeout()
         except (sqlite3.Error, sqlite3.Warning) as exc:

@@ -1,6 +1,7 @@
 """Database instances: concrete rows attached to a schema."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Union
 
@@ -142,8 +143,19 @@ def instance_to_json(instance: DatabaseInstance) -> dict[str, Any]:
     }
 
 
+def _finite_rows(table: str, rows: list) -> tuple[tuple, ...]:
+    """The rows as tuples; raises MalformedDatabase on a NaN or infinite
+    cell, which SQLite would store as NULL or no SQL literal can write."""
+    out = tuple(tuple(row) for row in rows)
+    for i, row in enumerate(out):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise MalformedDatabase(f"table {table!r} row {i} holds a non-finite number")
+    return out
+
+
 def instance_from_json(payload: dict[str, Any]) -> DatabaseInstance:
-    """Inverse of instance_to_json."""
+    """Inverse of instance_to_json. Refuses a NaN or infinite cell, which
+    `json.loads` accepts, with MalformedDatabase."""
     tables = tuple(
         Table(
             name=t["name"],
@@ -173,7 +185,7 @@ def instance_from_json(payload: dict[str, Any]) -> DatabaseInstance:
         t.name: TableData(
             table_name=t.name,
             columns=t.column_names(),
-            rows=tuple(tuple(row) for row in payload["rows"].get(t.name, [])),
+            rows=_finite_rows(t.name, payload["rows"].get(t.name, [])),
         )
         for t in schema.tables
     }

@@ -1,14 +1,16 @@
 """SQL analysis: what a statement reads, aggregates or sorts, and whether it
 orders its output.
 
-SQLite resolves the names: a statement is compiled as `EXPLAIN <sql>` on an
-empty copy of the schema while the authorizer records each (table, column)
-read, after SQLite has resolved aliases, scopes, CTEs, derived tables and
-`*`. SQL that SQLite rejects, or that the executor would refuse, is
-skipped. A small token pass finds the identifiers in aggregate calls and
-ORDER BY items and matches them by column name against the reads. That
-pass, and the order flag, depend on the text alone: each text is tokenized
-once per process, in a cache bounded at 4096 texts.
+SQLite resolves the names: the original's `Session` records the (table,
+column) reads its authorizer sees while it compiles a statement, after
+SQLite has resolved aliases, scopes, CTEs, derived tables and `*`.
+`analyze_all` reads those records, and compiles `EXPLAIN <sql>` on the
+session's connection only for a text it has no record of. SQL that SQLite
+rejects, or that the executor would refuse, is skipped. A small token pass
+finds the identifiers in aggregate calls and ORDER BY items and matches them
+by column name against the reads. That pass, the order flag and the
+spelling (the normal form the session memoizes by) depend on the text alone:
+each text is tokenized once per process, in a cache bounded at 4096 texts.
 """
 from __future__ import annotations
 
@@ -16,13 +18,15 @@ import functools
 import logging
 import re
 import sqlite3
+import string
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dbio import create_table_sql
 from .errors import SqlParseError
-from .schema import SchemaGraph
+
+if TYPE_CHECKING:
+    from .executor import Session
 
 log = logging.getLogger(__name__)
 
@@ -222,7 +226,45 @@ class _Reading(NamedTuple):
     by_name: bool  # the word NATURAL or USING occurs: a join by column name
     refs: tuple[tuple[str | None, str], ...]  # see _agg_and_sort_refs
     names: frozenset[tuple[str, str]]  # see _names_of, for the qualifiers in refs
+    spelling: str | None = None  # see _spelling
     error: str | None = None
+
+
+# SQLite folds the case of ASCII letters only: `É` and `é` name two columns.
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+# Whitespace that Python's \s matches and SQLite's tokenizer does not.
+_FOREIGN_SPACE = re.compile(r"[^\S \t\n\f\r]")
+
+
+def _spelling(sql: str, tokens: list[Token]) -> str | None:
+    """The text as SQLite reads it, with what it ignores taken out: comments
+    and whitespace between two tokens become one space, a trailing `;` goes,
+    and bare words fold to lower case in ASCII only. Quoted identifiers,
+    strings and numbers stay verbatim, because SQLite reads `"a"` as the
+    string 'a' where no column `a` exists. Tokens with nothing between them
+    stay joined: `0x1F` and `1abc` are not `0 x1F` and `1 abc` to SQLite.
+    Two texts with one spelling compile to one program, up to column labels.
+
+    None where the normal form could mislead or the text is no statement
+    that `EXPLAIN <sql>` compiles as itself: no token, a first token that is
+    not a bare word, a first word EXPLAIN, or whitespace SQLite rejects."""
+    if tokens and tokens[-1].text == ";":
+        tokens = tokens[:-1]
+    words = [t.text.translate(_ASCII_LOWER) if _is_bare(t) else None for t in tokens]
+    if not words or words[0] in (None, "explain") or _FOREIGN_SPACE.search(sql):
+        return None
+    parts: list[str] = []
+    end = tokens[0].pos
+    for tok, word in zip(tokens, words):
+        if tok.pos > end:
+            parts.append(" ")
+        parts.append(tok.text if word is None else word)
+        end = tok.pos + len(tok.text)
+    return "".join(parts)
+
+
+def _is_bare(tok: Token) -> bool:
+    return tok.kind == "ident" and tok.text[0] not in "\"`["
 
 
 # Every candidate is analyzed once per entry and executed on several
@@ -233,7 +275,7 @@ def _read(sql: str) -> _Reading:
     try:
         tokens = tokenize(sql)
     except SqlParseError as exc:
-        return _Reading(False, False, (), frozenset(), str(exc))
+        return _Reading(False, False, (), frozenset(), error=str(exc))
     words = [t.value.lower() if t.kind == "ident" else "" for t in tokens]
     ordered, depth = False, 0
     for tok, word, nxt in zip(tokens, words, words[1:]):
@@ -247,7 +289,7 @@ def _read(sql: str) -> _Reading:
     refs = tuple(_agg_and_sort_refs(tokens, words))
     qualifiers = {q.lower() for q, _name in refs if q is not None}
     by_name = "natural" in words or "using" in words
-    return _Reading(ordered, by_name, refs, _names_of(words, qualifiers))
+    return _Reading(ordered, by_name, refs, _names_of(words, qualifiers), _spelling(sql, tokens))
 
 
 @dataclass(frozen=True)
@@ -260,60 +302,41 @@ class SqlAnalysis:
     agg_or_sort_columns: frozenset[tuple[str, str]]
 
 
-def analyze_all(sqls: list[str], schema: SchemaGraph) -> tuple[list[SqlAnalysis], list[str]]:
-    """Analyze each SQL on one schema-only connection, skipping the ones
-    SQLite rejects or that do more than read. Returns (analyses, warnings)."""
+def analyze_all(session: Session, sqls: list[str]) -> tuple[list[SqlAnalysis], list[str]]:
+    """Analyze each SQL from the reads `session` records compiling it on its
+    original, skipping the ones SQLite rejects or that do more than read.
+    Returns (analyses, warnings)."""
     analyses: list[SqlAnalysis] = []
     warnings: list[str] = []
-    reads: set[tuple[str, str]] = set()
-    columns_of = {t.name: {c.name for c in t.columns} for t in schema.tables}
-
-    def authorize(action: int, arg1, arg2, *_rest) -> int:
-        if action == sqlite3.SQLITE_READ:
-            reads.add((arg1, arg2))
-        return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
-
-    # A statement served from the statement cache is not compiled again, so
-    # the authorizer would not see its reads.
-    conn = sqlite3.connect(":memory:", cached_statements=0)
-    try:
-        for table in schema.tables:
-            conn.execute(create_table_sql(table, schema))
-        conn.set_authorizer(authorize)
-        for i, sql in enumerate(sqls):
-            reads.clear()
-            try:
-                conn.execute("EXPLAIN " + sql)
-                reading = _read(sql)
-                if reading.error is not None:
-                    raise SqlParseError(reading.error)
-            except (sqlite3.Error, sqlite3.Warning, ValueError, SqlParseError) as exc:
-                warnings.append(f"candidate {i} skipped: {exc}")
-                log.warning("%s", warnings[-1])
-                continue
-            # Reads of sqlite_master, or of a rowid, name no column of the schema.
-            columns = frozenset((t, c) for t, c in reads if c in columns_of.get(t, ()))
-            tables = frozenset(t for t, _c in reads if t in columns_of)
-            refs = reading.refs
-            agg_or_sort = _match(refs, columns, reading.names) if refs else frozenset()
-            analyses.append(SqlAnalysis(sql, tables, columns, agg_or_sort))
-    finally:
-        conn.close()
+    columns_of = {t.name: {c.name for c in t.columns} for t in session.db.schema.tables}
+    for i, sql in enumerate(sqls):
+        try:
+            reads = session.reads(sql)
+            reading = _read(sql)
+            if reading.error is not None:
+                raise SqlParseError(reading.error)
+        except (sqlite3.Error, sqlite3.Warning, ValueError, SqlParseError, TimeoutError) as exc:
+            warnings.append(f"candidate {i} skipped: {exc}")
+            log.warning("%s", warnings[-1])
+            continue
+        # Reads of sqlite_master, or of a rowid, name no column of the schema.
+        columns = frozenset((t, c) for t, c in reads if c in columns_of.get(t, ()))
+        tables = frozenset(t for t, _c in reads if t in columns_of)
+        refs = reading.refs
+        agg_or_sort = _match(refs, columns, reading.names) if refs else frozenset()
+        analyses.append(SqlAnalysis(sql, tables, columns, agg_or_sort))
     return analyses, warnings
-
-
-def analyze(sql: str, schema: SchemaGraph) -> SqlAnalysis:
-    """Analyze one SQL statement. Raises SqlParseError where `analyze_all`
-    would skip it."""
-    analyses, warnings = analyze_all([sql], schema)
-    if warnings:
-        raise SqlParseError(warnings[0])
-    return analyses[0]
 
 
 def has_top_level_order_by(sql: str) -> bool:
     """True if the statement itself (not a subquery) has an ORDER BY."""
     return _read(sql).ordered
+
+
+def spelling(sql: str) -> str | None:
+    """The normal form under which a session memoizes `sql` with its
+    respellings, or None where it memoizes the text alone; see _spelling."""
+    return _read(sql).spelling
 
 
 def joins_by_column_name(sql: str) -> bool:

@@ -151,7 +151,7 @@ def _pairwise_distinguished(signatures: list[tuple], n_reps: int) -> bool:
 
 
 def generate_suite(
-    original_db: DatabaseInstance,
+    original: DatabaseInstance | Session,
     question: str,
     representatives: list[Candidate],
     config: SuiteConfig,
@@ -168,6 +168,10 @@ def generate_suite(
     unavailable). The loop stops early once the kept cases distinguish every
     representative pair. The signatures are not part of the suite.
 
+    The candidates are analysed on the original's session, when one is
+    given, from the reads it recorded running them; random selection draws
+    from the original's rows onto the pruned schema.
+
     Each database is loaded once, into the session that computes its
     signature and serves the oracle request. A kept case owns that session,
     still loaded for `rerank`, and `TestSuite.close` releases it; the session
@@ -177,7 +181,8 @@ def generate_suite(
         return TestSuite()
     sqls = all_sqls if all_sqls is not None else [r.sql for r in representatives]
 
-    pruned, targets = prune_schema(original_db, sqls)
+    schema, targets = prune_schema(original, sqls)
+    original_db = original.db if isinstance(original, Session) else original
 
     master = random.Random(config.gen.seed)
     kept_cases: list[TestCase] = []
@@ -195,9 +200,9 @@ def generate_suite(
             iteration_seed = master.getrandbits(63)
             gen_config = replace(config.gen, seed=iteration_seed)
             if gen_config.method is GenMethod.FUZZING:
-                candidate_db = fuzz_database(pruned.schema, gen_config)
+                candidate_db = fuzz_database(schema, gen_config)
             else:
-                candidate_db = sample_database(pruned, gen_config)
+                candidate_db = sample_database(original_db, gen_config, schema)
             if targets:
                 candidate_db = constrain_numbers(candidate_db, targets, gen_config)
 
@@ -327,7 +332,7 @@ def select_best(
             skipped_all_same=True,
         )
     suite = generate_suite(
-        session.db,
+        session,
         question,
         representatives,
         config,

@@ -1,12 +1,20 @@
-"""Brute-force reference comparisons, written straight from the definitions.
+"""Brute-force references, written straight from the definitions.
 
 These avoid the production code paths on purpose: cells are canonicalized
 here from the definition, and there are no early exits beyond the
-definition itself.
+definition itself. The analysis reference compiles each statement on a
+connection of its own that holds only the schema, and the projection
+reference copies every row of every kept table cell by cell.
 """
 import math
+import sqlite3
 from collections import Counter
 from itertools import permutations
+
+from sqlrerank.dbio import create_table_sql
+from sqlrerank.errors import SqlParseError
+from sqlrerank.instance import DatabaseInstance, TableData
+from sqlrerank.sqlanalysis import READ_ACTIONS, SqlAnalysis, _match, _read
 
 
 def canonical_cell(value):
@@ -92,3 +100,71 @@ class RelaxedReference:
 def relaxed_equal_reference(a, b):
     """`RelaxedReference` on one pair."""
     return RelaxedReference()(a, b)
+
+
+# --- analysis and pruning ------------------------------------------------------
+
+
+def schema_only_reads(sqls, schema):
+    """For each SQL, the (table, column) reads the authorizer reports while
+    `EXPLAIN <sql>` compiles on an empty copy of the schema, or the
+    exception the compile raises."""
+    reads: set = set()
+
+    def authorize(action, arg1, arg2, *_rest):
+        if action == sqlite3.SQLITE_READ:
+            reads.add((arg1, arg2))
+        return sqlite3.SQLITE_OK if action in READ_ACTIONS else sqlite3.SQLITE_DENY
+
+    # A statement served from the statement cache is not compiled again, so
+    # the authorizer would not see its reads.
+    conn = sqlite3.connect(":memory:", cached_statements=0)
+    try:
+        for table in schema.tables:
+            conn.execute(create_table_sql(table, schema))
+        conn.set_authorizer(authorize)
+        found = []
+        for sql in sqls:
+            reads.clear()
+            try:
+                conn.execute("EXPLAIN " + sql)
+                found.append(frozenset(reads))
+            except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
+                found.append(exc)
+        return found
+    finally:
+        conn.close()
+
+
+def schema_only_analyze_all(sqls, schema):
+    """`sqlanalysis.analyze_all` with its reads from `schema_only_reads`."""
+    analyses, warnings = [], []
+    columns_of = {t.name: {c.name for c in t.columns} for t in schema.tables}
+    for i, (sql, reads) in enumerate(zip(sqls, schema_only_reads(sqls, schema))):
+        reading = _read(sql)
+        if reading.error is not None and not isinstance(reads, Exception):
+            reads = SqlParseError(reading.error)
+        if isinstance(reads, Exception):
+            warnings.append(f"candidate {i} skipped: {reads}")
+            continue
+        columns = frozenset((t, c) for t, c in reads if c in columns_of.get(t, ()))
+        tables = frozenset(t for t, _c in reads if t in columns_of)
+        agg_or_sort = _match(reading.refs, columns, reading.names)
+        analyses.append(SqlAnalysis(sql, tables, columns, agg_or_sort))
+    return analyses, warnings
+
+
+def project(db, schema):
+    """The instance that `schema`, a pruning of the schema of `db`, stands
+    for: every row of each kept table, cut down to the kept columns cell by
+    cell. The instance itself when `schema` is its own."""
+    if schema is db.schema:
+        return db
+    tables = {}
+    for table in schema.tables:
+        source = db.data_for(table.name)
+        names = [c.lower() for c in source.columns]
+        idxs = [names.index(c.lower()) for c in table.column_names()]
+        rows = tuple(tuple(row[i] for i in idxs) for row in source.rows)
+        tables[table.name] = TableData(table.name, table.column_names(), rows)
+    return DatabaseInstance(schema=schema, tables=tables)

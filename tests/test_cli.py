@@ -365,6 +365,30 @@ def test_rerank_bad_suite_file_is_an_error(workdir, capsys, suite_text, named):
     assert not out.exists()
 
 
+def test_rerank_a_non_finite_suite_cell_is_an_error(workdir, capsys, student_instance):
+    """A NaN cell, which JSON readers accept, would load as NULL; the suite
+    file is refused instead."""
+    from sqlrerank.executor import execute
+    from sqlrerank.suite import TestCase, TestSuite, suite_to_json
+
+    expected = execute(student_instance, GOLD_MIN).result
+    payload = suite_to_json(TestSuite(cases=(TestCase(student_instance, expected, "reference"),)))
+    payload["cases"][0]["db"]["rows"]["student"][0][2] = float("nan")
+    suite_path = workdir / "suite.json"
+    suite_path.write_text(json.dumps(payload))
+    assert "NaN" in suite_path.read_text()
+    out = workdir / "outcome.json"
+    code = run_cli(
+        "rerank", "--suite", suite_path, "--candidates-file", workdir / "cands.json",
+        "--out", out,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load suite file {suite_path}: MalformedDatabase: ")
+    assert "'student' row 0 holds a non-finite number" in err
+    assert not out.exists()
+
+
 def test_rerank_a_suite_cell_sqlite_cannot_hold_fails_the_case(workdir, student_instance):
     """An int outside SQLite's 64-bit range makes its case's instance fail
     to load, so no candidate passes that case; `main` does not raise."""

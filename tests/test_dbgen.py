@@ -18,6 +18,7 @@ from sqlrerank.instance import foreign_key_violations
 from sqlrerank.schema import ColumnType, ForeignKey, SchemaGraph, Table
 
 from conftest import col, make_instance
+from refimpl import project
 
 FUZZ = GenConfig(method=GenMethod.FUZZING)
 PICK = GenConfig(method=GenMethod.RANDOM_SELECTION)
@@ -341,14 +342,20 @@ def test_extract_target_columns_empty(student_instance):
 # --- schema pruning ----------------------------------------------------------------
 
 
+def prune_and_project(db, sqls):
+    """prune_schema, with the instance that the pruned schema stands for."""
+    schema, targets = prune_schema(db, sqls)
+    return project(db, schema), targets
+
+
 def test_prune_drops_unused_table(chain_instance):
-    out, _targets = prune_schema(chain_instance, ["SELECT pval FROM parent"])
+    out, _targets = prune_and_project(chain_instance, ["SELECT pval FROM parent"])
     assert out.schema.table_names() == ("parent",)
     assert out.data_for("parent").columns == ("pval",)
 
 
 def test_prune_keeps_fk_bridge_columns(student_instance):
-    out, _targets = prune_schema(
+    out, _targets = prune_and_project(
         student_instance,
         ["SELECT name FROM student JOIN enrollment ON student.student_id = enrollment.student_id"],
     )
@@ -362,32 +369,32 @@ def test_prune_keeps_fk_bridge_columns(student_instance):
 
 
 def test_prune_drops_fk_to_dropped_table(student_instance):
-    out, _targets = prune_schema(student_instance, ["SELECT grade FROM enrollment"])
+    out, _targets = prune_and_project(student_instance, ["SELECT grade FROM enrollment"])
     assert out.schema.table_names() == ("enrollment",)
     assert out.schema.foreign_keys == ()
     assert out.data_for("enrollment").columns == ("grade",)
 
 
 def test_prune_star_keeps_all_columns(student_instance):
-    out, _targets = prune_schema(student_instance, ["SELECT * FROM student"])
+    out, _targets = prune_and_project(student_instance, ["SELECT * FROM student"])
     assert out.data_for("student").columns == ("student_id", "name", "age")
 
 
 def test_prune_unparsable_returns_input(student_instance):
-    out, targets = prune_schema(student_instance, ["SELECT 'broken"])
+    out, targets = prune_and_project(student_instance, ["SELECT 'broken"])
     assert out is student_instance
     assert targets == set()
 
 
 def test_prune_table_with_no_columns_keeps_pk(student_instance):
-    out, _targets = prune_schema(student_instance, ["SELECT count(*) FROM student"])
+    out, _targets = prune_and_project(student_instance, ["SELECT count(*) FROM student"])
     assert out.schema.table_names() == ("student",)
     assert out.data_for("student").columns == ("student_id",)
     assert out.data_for("student").rows == ((1,), (2,), (3,), (4,))
 
 
 def test_prune_composite_pk_partially_dropped(junction_instance):
-    out, _targets = prune_schema(junction_instance, ["SELECT lid FROM link"])
+    out, _targets = prune_and_project(junction_instance, ["SELECT lid FROM link"])
     assert out.schema.table_names() == ("link",)
     link = out.schema.table("link")
     assert link.column_names() == ("lid",)
@@ -398,7 +405,7 @@ def test_prune_composite_pk_partially_dropped(junction_instance):
 
 def test_prune_preserves_query_results(student_instance):
     sql = "SELECT max(grade) FROM enrollment"
-    pruned, _targets = prune_schema(student_instance, [sql])
+    pruned, _targets = prune_and_project(student_instance, [sql])
 
     def run(inst):
         conn = sqlite3.connect(":memory:")
@@ -415,7 +422,7 @@ def test_prune_preserves_join_results(chain_instance):
         "SELECT parent.pval, count(*) FROM parent"
         " JOIN child ON parent.pid = child.pid GROUP BY parent.pid"
     )
-    pruned, _targets = prune_schema(chain_instance, [sql])
+    pruned, _targets = prune_and_project(chain_instance, [sql])
     assert "grandchild" not in pruned.schema.table_names()
 
     def run(inst):
@@ -475,7 +482,7 @@ def test_pruned_instance_runs_every_candidate(request, fixture, sql):
     # A second candidate reading one column makes pruning drop the rest.
     other = f"SELECT count(*) FROM {db.schema.tables[0].name}"
     assert execute(db, sql).kind is OutcomeKind.OK
-    pruned, _targets = prune_schema(db, [sql, other])
+    pruned, _targets = prune_and_project(db, [sql, other])
     for query in (sql, other):
         outcome = execute(pruned, query)
         assert outcome.kind is OutcomeKind.OK, outcome.message
@@ -494,7 +501,7 @@ def test_a_join_by_column_name_leaves_the_instance_unpruned(student_instance, sq
     NATURAL join's shared columns. The cost: this USING candidate would
     still run on `student(student_id, name)` and `enrollment(student_id,
     grade)`, yet it too gets the whole instance."""
-    pruned, targets = prune_schema(student_instance, [sql, "SELECT count(*) FROM student"])
+    pruned, targets = prune_and_project(student_instance, [sql, "SELECT count(*) FROM student"])
     assert pruned is student_instance
     assert targets == set()
 
@@ -502,10 +509,10 @@ def test_a_join_by_column_name_leaves_the_instance_unpruned(student_instance, sq
 def test_prune_targets_a_column_of_a_partly_pruned_composite_key():
     schema = SchemaGraph(tables=(Table("pair", (col("x", pk=True), col("y", pk=True), col("v"))),))
     db = make_instance(schema, {"pair": [(1, 1, 5), (1, 2, 6), (2, 1, 7)]})
-    pruned, targets = prune_schema(db, ["SELECT x FROM pair ORDER BY x"])
+    pruned, targets = prune_and_project(db, ["SELECT x FROM pair ORDER BY x"])
     assert pruned.schema.table("pair").columns == (col("x"),)
     assert targets == {("pair", "x")}
-    pruned, targets = prune_schema(db, ["SELECT x, y FROM pair ORDER BY x"])
+    pruned, targets = prune_and_project(db, ["SELECT x, y FROM pair ORDER BY x"])
     assert pruned.schema.table("pair").columns == (col("x", pk=True), col("y", pk=True))
     assert targets == set()
 
@@ -515,14 +522,15 @@ def test_prune_keeps_and_targets_cte_aggregate(student_instance):
         "WITH s AS (SELECT age FROM student) SELECT max(age) FROM s",
         "SELECT name FROM student",
     ]
-    pruned, targets = prune_schema(student_instance, sqls)
+    pruned, targets = prune_and_project(student_instance, sqls)
     assert pruned.schema.table("student").column_names() == ("name", "age")
     assert targets == {("student", "age")}
 
 
 def test_prune_projection_matches_per_cell_projection(student_instance, chain_instance):
-    """Kept tables equal the per-cell projection of their source rows, and a
-    table that keeps every column keeps its row tuples."""
+    """Sampling every row onto a pruned schema gives the per-cell projection
+    of the source rows, and a table that keeps every column keeps its row
+    tuples."""
     cases = [
         (student_instance, "SELECT age, name FROM student"),
         (student_instance, "SELECT s.*, e.grade FROM student s JOIN enrollment e ON s.student_id = e.student_id"),
@@ -530,11 +538,81 @@ def test_prune_projection_matches_per_cell_projection(student_instance, chain_in
         (chain_instance, "SELECT * FROM parent"),
     ]
     for original, sql in cases:
-        out, _targets = prune_schema(original, [sql])
-        for table in out.schema.tables:
+        schema, _targets = prune_schema(original, [sql])
+        out = sample_database(original, pick_cfg(mts=100), schema)
+        for table in schema.tables:
             source = original.data_for(table.name)
             idxs = [source.columns.index(c) for c in table.column_names()]
             pruned = out.data_for(table.name).rows
             assert pruned == tuple(tuple(row[i] for i in idxs) for row in source.rows)
             if len(idxs) == len(source.columns):
-                assert pruned is source.rows
+                assert all(a is b for a, b in zip(pruned, source.rows))
+
+
+@pytest.fixture
+def league_instance():
+    """`game` references `team` twice, `team` references itself in chains
+    that the sampler closes over, and `team` has more rows than
+    `random.sample` copies into a list when it draws 5 or fewer (21) while
+    `game` has fewer."""
+    schema = SchemaGraph(
+        tables=(
+            Table("team", (
+                col("tid", pk=True), col("name", ColumnType.TEXT), col("city", ColumnType.TEXT),
+                col("rival"),
+            )),
+            Table("game", (col("gid", pk=True), col("home"), col("away"), col("score"))),
+        ),
+        foreign_keys=(
+            ForeignKey("team", "rival", "team", "tid"),
+            ForeignKey("game", "home", "team", "tid"),
+            ForeignKey("game", "away", "team", "tid"),
+        ),
+    )
+    teams = [(t, f"t{t}", f"c{t % 4}", t // 2 or None) for t in range(1, 31)]
+    games = [(g, 1 + (g * 5) % 30, 1 + (g * 11) % 30, g % 6) for g in range(1, 16)]
+    return make_instance(schema, {"team": teams, "game": games})
+
+
+@pytest.mark.parametrize(
+    "fixture,sqls",
+    [
+        ("league_instance", ["SELECT name FROM team"]),
+        ("league_instance", ["SELECT g.score, t.city FROM game g JOIN team t ON t.tid = g.home"]),
+        ("league_instance", ["SELECT count(*) FROM game", "SELECT city FROM team"]),
+        ("junction_instance", ["SELECT l.lid, t.lname FROM link l JOIN left_t t ON t.lid = l.lid"]),
+        ("flat_instance", ["SELECT name FROM stadium"]),
+    ],
+)
+def test_sampling_onto_a_pruned_schema_equals_sampling_the_projection(request, fixture, sqls):
+    """Rows are drawn by index from the original and projected after: the
+    same draws, and so the same instance, as sampling the projected copy."""
+    original = request.getfixturevalue(fixture)
+    schema, _targets = prune_schema(original, sqls)
+    assert schema != original.schema
+    projected = project(original, schema)
+    for seed in range(200):
+        cfg = pick_cfg(seed=seed, mts=1 + seed % 5)
+        assert sample_database(original, cfg, schema) == sample_database(projected, cfg), seed
+
+
+def test_sampling_draws_the_same_rows_for_a_seed(league_instance):
+    """The rows a seed draws are pinned, so that suites, prompts and oracle
+    request ids stay the same; a table with nothing picked yet draws from
+    every index, one with rows picked from the rest, in original order."""
+    draws = {
+        seed: {t: [r[0] for r in db.data_for(t).rows] for t in ("team", "game")}
+        for seed, db in (
+            (seed, sample_database(league_instance, pick_cfg(seed=seed, mts=2))) for seed in (0, 1)
+        )
+    }
+    assert draws == {
+        0: {"team": [1, 2, 3, 4, 5, 6, 9, 11, 18], "game": [7, 14]},
+        1: {"team": [1, 2, 4, 5, 8, 10, 16, 21], "game": [3, 10]},
+    }
+    schema, _targets = prune_schema(league_instance, ["SELECT name FROM team"])
+    drawn = sample_database(league_instance, pick_cfg(seed=3, mts=4), schema)
+    assert drawn.data_for("team").rows == (
+        (1, "t1", None), (2, "t2", 1), (4, "t4", 2), (5, "t5", 2),
+        (8, "t8", 4), (9, "t9", 4), (18, "t18", 9), (19, "t19", 9),
+    )

@@ -1,3 +1,4 @@
+import math
 import sqlite3
 
 import pytest
@@ -164,6 +165,12 @@ def test_sql_literal_survives_sqlite(value):
 @example(-(2**63) - 1)
 def test_sql_literal_refuses_ints_sqlite_would_read_as_real(value):
     with pytest.raises(MalformedDatabase, match="outside SQLite's 64-bit range"):
+        sql_literal(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sql_literal_refuses_non_finite_floats(value):
+    with pytest.raises(MalformedDatabase, match="has no SQL literal"):
         sql_literal(value)
 
 

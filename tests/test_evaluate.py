@@ -377,6 +377,29 @@ def test_bench_tracing_records_every_layer(corpus):
 # --- corpus-level runs --------------------------------------------------------------
 
 
+def test_evaluate_corpus_opens_no_schema_only_connection(corpus, monkeypatch):
+    """Every in-memory connection of a run holds an instance a session
+    loaded: the analysis that prunes compiles on the original's session."""
+    connections: list[str] = []
+    loads: list[str] = []
+    real_connect = sqlrerank.executor.sqlite3.connect
+    real_load = sqlrerank.executor.load_into_connection
+
+    def connect(database, *args, **kwargs):
+        connections.append(database)
+        return real_connect(database, *args, **kwargs)
+
+    def load(instance, conn):
+        loads.append(":memory:")
+        return real_load(instance, conn)
+
+    monkeypatch.setattr(sqlrerank.executor.sqlite3, "connect", connect)
+    monkeypatch.setattr(sqlrerank.executor, "load_into_connection", load)
+    report = evaluate_corpus(corpus, reference_factory, cfg())
+    assert report.evaluated == 4 and any(e.suite_size for e in report.entries)
+    assert [c for c in connections if c == ":memory:"] == loads
+
+
 def test_evaluate_corpus(corpus):
     report = evaluate_corpus(corpus, reference_factory, cfg())
     assert report.evaluated == 4

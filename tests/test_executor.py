@@ -18,7 +18,10 @@ from sqlrerank.executor import (
     results_equal_relaxed,
 )
 
-from conftest import make_instance
+from sqlrerank.instance import DatabaseInstance
+from sqlrerank.schema import ColumnType, SchemaGraph, Table
+
+from conftest import col, make_instance
 from conftest import record_statements
 from refimpl import exact_equal_reference, relaxed_equal_reference
 
@@ -379,8 +382,26 @@ def test_copy_session_errors_match_a_plain_session(many_students):
     assert execute(plain, "SELECT count(*) FROM student").result.rows == ((2400,),)
 
 
+# The spellings of TOP_GRADES that differ in more than case, layout, comments
+# and a trailing `;`, so that no two share a spelling.
+ALIAS_SPELLINGS = (TOP_GRADES[0], *TOP_GRADES[2:6])
+
+
+# Alias spellings of SCAN, SHORT_SCAN and TOP_GRADES[0], one per table alias.
+SCAN_AS = "SELECT sum({s}.age), max({s}.name), min({s}.student_id) FROM student {s}"
+SHORT_SCAN_AS = "SELECT sum({s}.age) FROM student {s} WHERE {s}.student_id <= 400"
+TOP_GRADES_AS = (
+    "SELECT {s}.name, e.grade FROM student {s} JOIN enrollment e"
+    " ON {s}.student_id = e.student_id WHERE e.grade > 90"
+)
+
+
+def _aliased(template: str, i: int) -> str:
+    return template.format(s=f"s{i}")
+
+
 def test_plain_and_stepless_sessions_run_no_explain(many_students, student_instance, monkeypatch):
-    queries = (SCAN, *TOP_GRADES)
+    queries = (SCAN, *ALIAS_SPELLINGS)
     statements = record_statements(monkeypatch)
     # A plain session whose statements step, then a keyed session whose
     # statements never step: each runs every spelling.
@@ -402,9 +423,9 @@ def test_small_instance_never_switches_to_program_keys(student_instance, monkeyp
     statements = record_statements(monkeypatch)
     with _keyed(student_instance) as session:
         for i in range(60):
-            for sql in (SCAN, *TOP_GRADES):
-                execute(session, f"{sql} -- {i}")
-    assert len(_ran(statements)) == 60 * (1 + len(TOP_GRADES))
+            for template in (SCAN_AS, TOP_GRADES_AS):
+                execute(session, _aliased(template, i))
+    assert len(_ran(statements)) == 60 * 2
     assert _explained(statements) == []
 
 
@@ -413,12 +434,90 @@ def test_one_long_scan_switches_to_program_keys(many_students, monkeypatch):
     with _keyed(many_students) as session:
         # Scans of fewer than _KEYING_STEPS steps, however many, do not.
         for i in range(3):
-            execute(session, f"{SHORT_SCAN} -- {i}")
+            execute(session, _aliased(SHORT_SCAN_AS, i))
         assert _explained(statements) == []
         execute(session, SCAN)
         assert len(_explained(statements)) == 4
-        execute(session, f"{SHORT_SCAN} -- again")
-    assert _ran(statements) == [f"{SHORT_SCAN} -- {i}" for i in range(3)] + [SCAN]
+        execute(session, _aliased(SHORT_SCAN_AS, 3))
+    assert _ran(statements) == [_aliased(SHORT_SCAN_AS, i) for i in range(3)] + [SCAN]
+
+
+# --- the spelling memo on sessions made by_program ----------------------------------
+
+# Respellings SQLite ignores: keyword and identifier case, layout, comments
+# and a trailing `;`.
+RESPELLINGS = (
+    "SELECT name FROM student WHERE age > 25 ORDER BY name",
+    "select NAME from STUDENT where AGE > 25 order by NAME",
+    "SELECT name\n  FROM student\n WHERE age > 25\n ORDER BY name;",
+    "/* older */ SELECT name FROM student -- students\nWHERE age > 25 ORDER BY name ;",
+)
+
+
+@pytest.mark.parametrize("fixture", ["student_instance", "many_students"])
+def test_a_respelling_runs_no_statement_and_no_explain(request, fixture, monkeypatch):
+    db = request.getfixturevalue(fixture)
+    with Session(db) as plain:
+        expected = execute(plain, RESPELLINGS[0])
+    statements = record_statements(monkeypatch)
+    with _keyed(db) as session:
+        execute(session, SCAN)  # keys by program on the large instance
+        outcomes = [execute(session, sql) for sql in RESPELLINGS]
+    assert _ran(statements) == [SCAN, RESPELLINGS[0]]
+    keyed = fixture == "many_students"
+    assert _explained(statements) == [f"EXPLAIN {sql}" for sql in (SCAN, RESPELLINGS[0]) if keyed]
+    assert all(out is outcomes[0] for out in outcomes) and outcomes[0] == expected
+
+
+def _accented(column: str) -> DatabaseInstance:
+    schema = SchemaGraph(tables=(Table("t", (col(column, ColumnType.TEXT),)),))
+    return make_instance(schema, {"t": [("x",), ("y",)]})
+
+
+@pytest.mark.parametrize(
+    "db,pair",
+    [
+        # SQLite folds ASCII letters only, so É names no column of `t`.
+        (_accented("é"), ("SELECT é FROM t", "SELECT É FROM t")),
+        (_accented("É"), ("SELECT É FROM t", "SELECT é FROM t")),
+        # Where no column `a` exists, SQLite reads "a" as the string 'a'.
+        (None, ('SELECT "a" FROM student', "SELECT a FROM student")),
+        (None, ('SELECT "A" FROM student', 'SELECT "a" FROM student')),
+        (None, ("SELECT 'A' FROM student", "SELECT 'a' FROM student")),
+        # Tokens with nothing between them stay joined: 0x1F is 31.
+        (None, ("SELECT 0x1F", "SELECT 0 x1F")),
+    ],
+)
+def test_the_spelling_memo_keeps_other_statements_apart(db, pair, student_instance, monkeypatch):
+    db = db or student_instance
+    with Session(db) as plain:
+        expected = [execute(plain, sql) for sql in pair]
+    statements = record_statements(monkeypatch)
+    with _keyed(db) as session:
+        assert [execute(session, sql) for sql in pair] == expected
+    assert _ran(statements) == list(pair)
+
+
+def test_the_order_flag_is_part_of_the_spelling_key(student_instance, monkeypatch):
+    """The same text with and without a top-level ORDER BY, as the flag
+    reads it (a comment stands in for the ORDER BY), is two statements."""
+    monkeypatch.setattr(
+        sqlrerank.executor, "has_top_level_order_by", lambda sql: sql.endswith("-- ordered")
+    )
+    with _keyed(student_instance) as session:
+        unordered = execute(session, "SELECT name FROM student")
+        ordered = execute(session, "SELECT name FROM student -- ordered")
+    assert ordered.result.rows == unordered.result.rows
+    assert ordered.result.order_significant and not unordered.result.order_significant
+
+
+def test_an_erring_respelling_keeps_its_own_message(student_instance, monkeypatch):
+    pair = ("SELECT ghost FROM student", "select GHOST from student;")
+    statements = record_statements(monkeypatch)
+    with _keyed(student_instance) as session:
+        messages = [execute(session, sql).message for sql in pair]
+    assert messages == ["no such column: ghost", "no such column: GHOST"]
+    assert _ran(statements) == list(pair)
 
 
 def test_shared_outcome_keeps_the_first_statements_labels(many_students):

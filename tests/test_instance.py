@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,14 @@ def test_json_round_trip_property(rows):
     )
     inst = make_instance(schema, {"t": rows})
     assert instance_from_json(instance_to_json(inst)) == inst
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_refuses_non_finite_cells(student_instance, value):
+    payload = json.loads(json.dumps(instance_to_json(student_instance)))
+    payload["rows"]["enrollment"][1][2] = value
+    with pytest.raises(MalformedDatabase, match="'enrollment' row 1 holds a non-finite number"):
+        instance_from_json(payload)
 
 
 def test_composite_junction_round_trip(junction_instance):

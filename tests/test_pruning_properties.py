@@ -1,6 +1,8 @@
 """Pruning is invisible: on random schemas and reading SQL from a small
 grammar, a candidate's result on the pruned instance equals its result on
-the original (ROADMAP property 4(a)).
+the original (ROADMAP property 4(a)). And the analysis that prunes, drawn
+from the reads the original's session records while it runs the
+candidates, equals the schema-only reference in `refimpl`.
 
 The schemas have one to three tables whose columns come from a small shared
 name pool, so NATURAL and USING joins find shared columns. Columns are
@@ -15,14 +17,19 @@ the key index that a plan on the original scans in.
 """
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sqlrerank import dbgen
 from sqlrerank.dbgen import prune_schema
-from sqlrerank.executor import OutcomeKind, execute, results_equal
+from sqlrerank.executor import OutcomeKind, Session, execute, results_equal
 from sqlrerank.schema import ColumnDef, ColumnType, ForeignKey, SchemaGraph, Table
+from sqlrerank.sqlanalysis import analyze_all
 
 from conftest import make_instance
+from refimpl import project, schema_only_analyze_all
 
 NAMES = ("id", "a", "b", "name")
 VALUES = {
@@ -144,7 +151,30 @@ def test_pruning_changes_no_result(case):
     db, sql, other = case
     original = execute(db, sql)
     assume(original.kind is OutcomeKind.OK)
-    pruned, _targets = prune_schema(db, [sql, other])
-    outcome = execute(pruned, sql)
+    schema, _targets = prune_schema(db, [sql, other])
+    outcome = execute(project(db, schema), sql)
     assert outcome.kind is OutcomeKind.OK, outcome.message
     assert results_equal(outcome.result, original.result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_the_sessions_reads_match_the_schema_only_reference(case):
+    """The candidates, a respelling and one that does more than read run on
+    the original's session first, as in a corpus run; the analyses, pruned
+    schema and targets from what it recorded equal the reference's. An
+    original that fails to load (a REAL in an INTEGER PRIMARY KEY, say)
+    gives every candidate one outcome, so no suite is generated for it."""
+    db, sql, other = case
+    sqls = [
+        sql, other, sql.replace("SELECT", "select") + ";", f"DELETE FROM {db.schema.tables[0].name}"
+    ]
+    with Session(db, by_program=True) as session:
+        outcomes = [execute(session, text) for text in sqls]
+        assume(not outcomes[0].message.startswith("instance load failed"))
+        assert analyze_all(session, sqls) == schema_only_analyze_all(sqls, db.schema)
+        got = prune_schema(session, sqls)
+        with mock.patch.object(
+            dbgen, "analyze_all", lambda _session, texts: schema_only_analyze_all(texts, db.schema)
+        ):
+            assert got == prune_schema(session, sqls)

@@ -5,15 +5,31 @@ from hypothesis import strategies as st
 import sqlrerank.sqlanalysis
 from sqlrerank.dbgen import prune_schema
 from sqlrerank.errors import SqlParseError
-from sqlrerank.executor import OutcomeKind, execute, results_equal
+from sqlrerank.executor import OutcomeKind, Session, execute, results_equal
 from sqlrerank.sqlanalysis import (
     SqlAnalysis,
-    analyze,
     analyze_all,
     has_top_level_order_by,
     joins_by_column_name,
     tokenize,
 )
+
+from conftest import make_instance, record_statements
+from refimpl import project, schema_only_analyze_all
+
+
+def analyze_on(schema, sqls):
+    """analyze_all on a session over an empty instance of `schema`."""
+    with Session(make_instance(schema, {})) as session:
+        return analyze_all(session, sqls)
+
+
+def analyze(sql, schema):
+    """The analysis of one SQL; raises SqlParseError where analyze_all skips it."""
+    analyses, warnings = analyze_on(schema, [sql])
+    if warnings:
+        raise SqlParseError(warnings[0])
+    return analyses[0]
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -91,7 +107,8 @@ def test_tokenize_unclosed_block_comment_runs_to_the_end():
 
 def test_trailing_unclosed_comment_keeps_the_order_and_the_column(student_instance):
     sql = "SELECT name FROM student ORDER BY age /* trailing"
-    pruned, targets = prune_schema(student_instance, [sql, "SELECT name FROM student"])
+    schema, targets = prune_schema(student_instance, [sql, "SELECT name FROM student"])
+    pruned = project(student_instance, schema)
     assert pruned.schema.table("student").column_names() == ("name", "age")
     assert targets == {("student", "age")}
     on_pruned = execute(pruned, sql)
@@ -274,8 +291,8 @@ def test_parenthesized_join(student_schema):
 def test_using_join(student_instance):
     # SQLite reports no read of a USING column, so pruning must not drop it.
     sql = "SELECT name FROM student JOIN enrollment USING (student_id)"
-    pruned, _targets = prune_schema(student_instance, [sql])
-    assert execute(pruned, sql).kind is OutcomeKind.OK
+    schema, _targets = prune_schema(student_instance, [sql])
+    assert execute(project(student_instance, schema), sql).kind is OutcomeKind.OK
 
 
 @pytest.mark.parametrize(
@@ -336,19 +353,35 @@ def test_analyze_rejects_malformed(bad, student_schema):
 
 
 def test_analyze_all_skips_bad(student_schema):
-    analyses, warnings = analyze_all(
-        ["SELECT name FROM student", "SELECT 'broken", "SELECT age FROM student"],
+    analyses, warnings = analyze_on(
         student_schema,
+        ["SELECT name FROM student", "SELECT 'broken", "SELECT age FROM student"],
     )
     assert len(analyses) == 2
     assert len(warnings) == 1
     assert "candidate 1" in warnings[0]
 
 
+def test_analyze_all_compiles_only_texts_without_a_record(student_instance, monkeypatch):
+    """A text the session ran without error, or a respelling of it, is
+    analysed from the record of its run; another text compiles as EXPLAIN."""
+    ran = ["SELECT name FROM student ORDER BY age", "SELECT ghost FROM student"]
+    others = ["select NAME from STUDENT order by AGE;", "SELECT max(grade) FROM enrollment"]
+    statements = record_statements(monkeypatch)
+    with Session(student_instance, by_program=True) as session:
+        for sql in ran:
+            execute(session, sql)
+        before = len(statements)
+        analyses, warnings = analyze_all(session, ran + others)
+    assert statements[before:] == [f"EXPLAIN {ran[1]}", f"EXPLAIN {others[1]}"]
+    assert (analyses, warnings) == schema_only_analyze_all(ran + others, student_instance.schema)
+    assert [a.sql for a in analyses] == [ran[0], *others]
+
+
 def test_analyze_all_skips_statements_that_do_not_only_read(student_schema):
-    analyses, warnings = analyze_all(
-        ["DELETE FROM student", "PRAGMA table_info(student)", "SELECT age FROM student"],
+    analyses, warnings = analyze_on(
         student_schema,
+        ["DELETE FROM student", "PRAGMA table_info(student)", "SELECT age FROM student"],
     )
     assert [a.sql for a in analyses] == ["SELECT age FROM student"]
     assert len(warnings) == 2
@@ -408,7 +441,7 @@ def test_a_rejected_text_is_tokenized_once(student_schema, tokenize_calls):
     sql = "SELECT 1 AS x€"  # SQLite compiles it; the tokenizer rejects it
     for _ in range(3):
         assert not has_top_level_order_by(sql)
-        analyses, warnings = analyze_all([sql], student_schema)
+        analyses, warnings = analyze_on(student_schema, [sql])
         assert analyses == []
         assert warnings == ["candidate 0 skipped: unexpected character '€' at offset 13"]
     assert tokenize_calls == [sql]
