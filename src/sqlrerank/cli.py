@@ -144,22 +144,18 @@ def _cmd_gen_suite(args) -> int:
     oracle = _build_oracle(args, _reply_cache(args))
     with Session(db) as session:
         classes, representatives = classify_candidates(session, candidates)
-        suite = None
-        if len(classes) > 1:
-            suite = generate_suite(
-                session,
-                args.question,
-                representatives,
-                suite_config,
-                oracle,
-                all_sqls=[c.sql for c in candidates],
-            )
-            suite.close()
-    if suite is None:
+        suite = generate_suite(
+            session,
+            args.question,
+            representatives,
+            suite_config,
+            oracle,
+            all_sqls=[c.sql for c in candidates],
+        )
+        suite.close()
+    if len(classes) < 2:
         print("skipped: all candidates fall into one behavior class")
-        payload = suite_to_json(TestSuite())
     else:
-        payload = suite_to_json(suite)
         print(
             f"classes: {len(classes)}; cases kept: {len(suite.cases)};"
             f" dropped duplicate: {suite.dropped_duplicate};"
@@ -167,7 +163,7 @@ def _cmd_gen_suite(args) -> int:
             f" distinguished: {'yes' if suite.distinguished else 'no'}"
         )
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(dump_json(payload))
+        handle.write(dump_json(suite_to_json(suite)))
     return 0
 
 

@@ -164,7 +164,8 @@ def evaluate_entry(
         )
     gold_result = gold_outcome.result
 
-    # One comparison with the gold per class; its members share the verdict.
+    # One comparison with the gold per class; its members share the verdict,
+    # and the re-rank takes the same representatives.
     candidates = list(entry.candidates)
     classes, representatives = classify_candidates(session, candidates)
     class_correct = []
@@ -195,7 +196,7 @@ def evaluate_entry(
     oracle = oracle_factory(entry)
     try:
         outcome: RerankOutcome = select_best(
-            session, entry.question, candidates, seeded, oracle
+            session, entry.question, candidates, representatives, seeded, oracle
         )
     except Exception as exc:
         return EntryReport(

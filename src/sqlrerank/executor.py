@@ -8,9 +8,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from typing import Any
 
 from .dbio import load_into_connection
-from .instance import DatabaseInstance, check_row_widths
+from .instance import DatabaseInstance, check_row_widths, finite_rows
 from .sqlanalysis import READ_ACTIONS, has_top_level_order_by, spelling
 
 # Seconds a statement may run before its outcome is a timeout.
@@ -68,6 +69,25 @@ class ExecutionResult:
     @cached_property
     def column_counts(self) -> list[dict]:
         return [_counts(column) for column in self.canonical_columns]
+
+
+def result_to_json(result: ExecutionResult) -> dict[str, Any]:
+    return {
+        "columns": list(result.columns),
+        "rows": [list(row) for row in result.rows],
+        "order_significant": result.order_significant,
+    }
+
+
+def result_from_json(payload: dict[str, Any]) -> ExecutionResult:
+    """Inverse of result_to_json; "order_significant" may be absent. Refuses
+    a NaN cell with MalformedDatabase; an infinity, which SQLite returns,
+    is kept."""
+    return ExecutionResult(
+        columns=tuple(payload["columns"]),
+        rows=finite_rows("result", payload["rows"], infinite_ok=True),
+        order_significant=bool(payload.get("order_significant", False)),
+    )
 
 
 @dataclass(frozen=True)

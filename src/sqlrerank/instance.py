@@ -143,13 +143,16 @@ def instance_to_json(instance: DatabaseInstance) -> dict[str, Any]:
     }
 
 
-def _finite_rows(table: str, rows: list) -> tuple[tuple, ...]:
-    """The rows as tuples; raises MalformedDatabase on a NaN or infinite
-    cell, which SQLite would store as NULL or no SQL literal can write."""
+def finite_rows(where: str, rows: list, *, infinite_ok: bool) -> tuple[tuple, ...]:
+    """The rows as tuples. Raises MalformedDatabase, naming `where` and the
+    row, on a cell that `json.loads` accepts but no SQLite value is: NaN,
+    which SQLite stores as NULL, and, unless `infinite_ok`, an infinity,
+    which a query can return (`SELECT 1e999`) but no SQL literal can write."""
     out = tuple(tuple(row) for row in rows)
+    refused = math.isnan if infinite_ok else (lambda v: not math.isfinite(v))
     for i, row in enumerate(out):
-        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
-            raise MalformedDatabase(f"table {table!r} row {i} holds a non-finite number")
+        if any(isinstance(v, float) and refused(v) for v in row):
+            raise MalformedDatabase(f"{where} row {i} holds a non-finite number")
     return out
 
 
@@ -185,7 +188,9 @@ def instance_from_json(payload: dict[str, Any]) -> DatabaseInstance:
         t.name: TableData(
             table_name=t.name,
             columns=t.column_names(),
-            rows=_finite_rows(t.name, payload["rows"].get(t.name, [])),
+            rows=finite_rows(
+                f"table {t.name!r}", payload["rows"].get(t.name, []), infinite_ok=False
+            ),
         )
         for t in schema.tables
     }

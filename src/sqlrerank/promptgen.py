@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .dbio import database_script
-from .errors import ManifestError, ParseFailure
-from .executor import ExecutionResult
+from .errors import MalformedDatabase, ManifestError, ParseFailure
+from .executor import ExecutionResult, result_from_json
 from .instance import DatabaseInstance, instance_from_json
 
 INSTRUCTION = (
@@ -222,18 +222,14 @@ def load_example_pool(path: str) -> tuple[tuple[DatabaseInstance, str, Execution
     for i, record in enumerate(records):
         try:
             question = record["question"]
-            raw = record["result"]
-            result = ExecutionResult(
-                columns=tuple(raw["columns"]),
-                rows=tuple(tuple(r) for r in raw["rows"]),
-            )
+            result = result_from_json(record["result"])
             if "db" in record:
                 db = instance_from_json(record["db"])
             else:
                 from .dbio import read_database
 
                 db = read_database(os.path.join(base, record["db_file"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, MalformedDatabase) as exc:
             raise ManifestError(f"example {i} in {path} is malformed: {exc}") from exc
         pool.append((db, question, result))
     return tuple(pool)

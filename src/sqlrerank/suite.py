@@ -31,6 +31,8 @@ from .executor import (
     Session,
     execute,
     result_canonical_key,
+    result_from_json,
+    result_to_json,
     results_equal,
     results_equal_relaxed,
 )
@@ -102,7 +104,10 @@ class RerankOutcome:
     scores: tuple[CandidateScore, ...]
     suite: TestSuite
     skipped_all_same: bool = False
-    oracle_unavailable_count: int = 0
+
+    @property
+    def oracle_unavailable_count(self) -> int:
+        return self.suite.dropped_unavailable
 
 
 def _validate_candidates(candidates: list[Candidate]) -> None:
@@ -282,14 +287,6 @@ def rerank(candidates: list[Candidate], suite: TestSuite, relaxed: bool = True) 
     An empty suite leaves the input order untouched.
     """
     _validate_candidates(candidates)
-    if not suite.cases:
-        scores = tuple(CandidateScore(c, 0) for c in candidates)
-        return RerankOutcome(
-            ranked=tuple(candidates),
-            scores=scores,
-            suite=suite,
-            oracle_unavailable_count=suite.dropped_unavailable,
-        )
     counts = _pass_counts(candidates, suite, relaxed)
 
     def _sort_key(c: Candidate):
@@ -301,36 +298,26 @@ def rerank(candidates: list[Candidate], suite: TestSuite, relaxed: bool = True) 
             c.source_rank,
         )
 
-    ranked = tuple(sorted(candidates, key=_sort_key))
+    ranked = tuple(sorted(candidates, key=_sort_key)) if suite.cases else tuple(candidates)
     scores = tuple(CandidateScore(c, counts[c.source_rank]) for c in ranked)
-    return RerankOutcome(
-        ranked=ranked,
-        scores=scores,
-        suite=suite,
-        oracle_unavailable_count=suite.dropped_unavailable,
-    )
+    return RerankOutcome(ranked=ranked, scores=scores, suite=suite)
 
 
 def select_best(
     session: Session,
     question: str,
     candidates: list[Candidate],
+    representatives: list[Candidate],
     config: SuiteConfig,
     oracle,
 ) -> RerankOutcome:
-    """classify -> generate_suite -> rerank; skips when one behavior class.
+    """generate_suite -> rerank over the representatives that
+    `classify_candidates(session, candidates)` returned, so the caller
+    classifies once. One behavior class gives an empty suite, asks no
+    oracle, keeps the input order and is marked `skipped_all_same`.
 
     The suite's sessions are released once the re-rank is done.
     """
-    _validate_candidates(candidates)
-    classes, representatives = classify_candidates(session, candidates)
-    if len(classes) <= 1:
-        return RerankOutcome(
-            ranked=tuple(candidates),
-            scores=tuple(CandidateScore(c, 0) for c in candidates),
-            suite=TestSuite(),
-            skipped_all_same=True,
-        )
     suite = generate_suite(
         session,
         question,
@@ -340,25 +327,10 @@ def select_best(
         all_sqls=[c.sql for c in candidates],
     )
     try:
-        return rerank(candidates, suite, config.relaxed)
+        outcome = rerank(candidates, suite, config.relaxed)
     finally:
         suite.close()
-
-
-def _result_to_json(result: ExecutionResult) -> dict[str, Any]:
-    return {
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "order_significant": result.order_significant,
-    }
-
-
-def _result_from_json(payload: dict[str, Any]) -> ExecutionResult:
-    return ExecutionResult(
-        columns=tuple(payload["columns"]),
-        rows=tuple(tuple(row) for row in payload["rows"]),
-        order_significant=bool(payload.get("order_significant", False)),
-    )
+    return replace(outcome, skipped_all_same=len(representatives) < 2)
 
 
 def suite_to_json(suite: TestSuite) -> dict[str, Any]:
@@ -366,7 +338,7 @@ def suite_to_json(suite: TestSuite) -> dict[str, Any]:
         "cases": [
             {
                 "db": instance_to_json(case.db),
-                "expected": _result_to_json(case.expected),
+                "expected": result_to_json(case.expected),
                 "oracle_tag": case.oracle_tag,
             }
             for case in suite.cases
@@ -383,7 +355,7 @@ def suite_from_json(payload: dict[str, Any]) -> TestSuite:
         cases=tuple(
             TestCase(
                 db=instance_from_json(case["db"]),
-                expected=_result_from_json(case["expected"]),
+                expected=result_from_json(case["expected"]),
                 oracle_tag=case.get("oracle_tag", ""),
             )
             for case in payload["cases"]

@@ -161,7 +161,13 @@ def test_gen_suite_writes_suite(workdir, capsys):
     assert suite.distinguished
 
 
-def test_gen_suite_single_class_skips(workdir, capsys):
+def test_gen_suite_single_class_skips(workdir, capsys, monkeypatch):
+    """One behavior class writes the empty suite and asks the oracle nothing."""
+    from sqlrerank.oracle import ReferenceOracle
+    from sqlrerank.suite import TestSuite, dump_json, suite_to_json
+
+    predictions = []
+    monkeypatch.setattr(ReferenceOracle, "predict", lambda _self, req: predictions.append(req))
     (workdir / "same.json").write_text(
         json.dumps(
             [
@@ -177,9 +183,9 @@ def test_gen_suite_single_class_skips(workdir, capsys):
         "--oracle", "reference", "--gold-sql", GOLD_MIN,
     )
     assert code == 0
-    assert "skipped" in capsys.readouterr().out
-    suite = suite_from_json(json.loads(out.read_text()))
-    assert suite.cases == ()
+    assert capsys.readouterr().out == "skipped: all candidates fall into one behavior class\n"
+    assert out.read_text() == dump_json(suite_to_json(TestSuite()))
+    assert predictions == []
 
 
 def test_gen_suite_reference_needs_gold(workdir, capsys):
@@ -366,27 +372,59 @@ def test_rerank_bad_suite_file_is_an_error(workdir, capsys, suite_text, named):
 
 
 def test_rerank_a_non_finite_suite_cell_is_an_error(workdir, capsys, student_instance):
-    """A NaN cell, which JSON readers accept, would load as NULL; the suite
-    file is refused instead."""
+    """A NaN cell, which JSON readers accept, would load as NULL in a
+    database and would fail every candidate in an expected result; either
+    way the suite file is refused instead."""
     from sqlrerank.executor import execute
     from sqlrerank.suite import TestCase, TestSuite, suite_to_json
 
     expected = execute(student_instance, GOLD_MIN).result
     payload = suite_to_json(TestSuite(cases=(TestCase(student_instance, expected, "reference"),)))
-    payload["cases"][0]["db"]["rows"]["student"][0][2] = float("nan")
+    in_db = json.loads(json.dumps(payload))
+    in_db["cases"][0]["db"]["rows"]["student"][0][2] = float("nan")
+    in_expected = json.loads(json.dumps(payload))
+    in_expected["cases"][0]["expected"]["rows"] = [[float("nan")]]
+    for bad, named in [
+        (in_db, "table 'student' row 0 holds a non-finite number"),
+        (in_expected, "result row 0 holds a non-finite number"),
+    ]:
+        suite_path = workdir / "suite.json"
+        suite_path.write_text(json.dumps(bad))
+        assert "NaN" in suite_path.read_text()
+        out = workdir / "outcome.json"
+        code = run_cli(
+            "rerank", "--suite", suite_path, "--candidates-file", workdir / "cands.json",
+            "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load suite file {suite_path}: MalformedDatabase: ")
+        assert named in err
+        assert not out.exists()
+
+
+def test_rerank_keeps_an_infinite_expected_cell(workdir, student_instance):
+    """A query can return an infinity, which the suite file writes as
+    `Infinity`; such an expected result loads and is passed as any other."""
+    from sqlrerank.executor import execute
+    from sqlrerank.suite import TestCase, TestSuite, suite_to_json
+
+    overflow = "SELECT max(age) * 1e308 FROM student"
+    expected = execute(student_instance, overflow).result
+    assert expected.rows == ((float("inf"),),)
     suite_path = workdir / "suite.json"
-    suite_path.write_text(json.dumps(payload))
-    assert "NaN" in suite_path.read_text()
+    suite = TestSuite(cases=(TestCase(student_instance, expected),))
+    suite_path.write_text(json.dumps(suite_to_json(suite)))
+    assert "Infinity" in suite_path.read_text()
+    cands = workdir / "overflow.json"
+    cands.write_text(json.dumps([
+        {"sql": GOLD_MIN, "rank": 0, "probability": 0.9},
+        {"sql": overflow, "rank": 1, "probability": 0.1},
+    ]))
     out = workdir / "outcome.json"
-    code = run_cli(
-        "rerank", "--suite", suite_path, "--candidates-file", workdir / "cands.json",
-        "--out", out,
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot load suite file {suite_path}: MalformedDatabase: ")
-    assert "'student' row 0 holds a non-finite number" in err
-    assert not out.exists()
+    args = ("rerank", "--suite", suite_path, "--candidates-file", cands, "--out", out)
+    assert run_cli(*args) == 0
+    assert [r["pass_count"] for r in json.loads(out.read_text())["ranked"]] == [1, 0]
 
 
 def test_rerank_a_suite_cell_sqlite_cannot_hold_fails_the_case(workdir, student_instance):

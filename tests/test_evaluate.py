@@ -9,6 +9,7 @@ import pytest
 import sqlrerank.dbgen
 import sqlrerank.evaluate
 import sqlrerank.executor
+import sqlrerank.suite
 from conftest import col, make_instance
 from conftest import record_statements
 from sqlrerank.corpus import apply_type_overrides, load_corpus
@@ -28,7 +29,7 @@ from sqlrerank.evaluate import (
 from sqlrerank.executor import Session, execute, result_canonical_key, results_equal_relaxed
 from sqlrerank.oracle import ReferenceOracle
 from sqlrerank.schema import ColumnType, SchemaGraph, Table
-from sqlrerank.suite import SuiteConfig, select_best
+from sqlrerank.suite import SuiteConfig, classify_candidates, select_best
 
 GOLD_MIN = "SELECT min(age) FROM student"
 WRONG_MAX = "SELECT max(age) FROM student"
@@ -120,6 +121,23 @@ def test_evaluate_entry_loads_the_original_once(corpus, monkeypatch):
     assert sum(db == original for db in loads) == 1
     # The generated databases load too, each once.
     assert len({id(db) for db in loads}) == len(loads) > 1
+
+
+def test_evaluate_entry_classifies_the_candidates_once(corpus, monkeypatch):
+    """The re-rank takes the representatives the verdicts were judged by,
+    so a gated-in entry is classified once, wherever the call comes from."""
+    calls = []
+    real_classify = sqlrerank.suite.classify_candidates
+
+    def counting(session, candidates):
+        calls.append(candidates)
+        return real_classify(session, candidates)
+
+    monkeypatch.setattr(sqlrerank.evaluate, "classify_candidates", counting)
+    monkeypatch.setattr(sqlrerank.suite, "classify_candidates", counting)
+    report = evaluate_entry(corpus[0], reference_factory, cfg())
+    assert not report.gated_out and report.suite_size >= 1 and report.post_top1_correct
+    assert len(calls) == 1
 
 
 def test_evaluate_entry_compares_each_candidate_once(corpus, monkeypatch):
@@ -301,9 +319,11 @@ def test_row_order_alone_splits_classes_against_an_unordered_gold(tmp_path):
     assert not report.skipped_all_same and report.distinguished
     assert report.oracle_calls == 1 and report.suite_size == 1
 
+    candidates = list(entry.candidates)
     with Session(instance) as session:
+        _, reps = classify_candidates(session, candidates)
         outcome = select_best(
-            session, entry.question, list(entry.candidates), cfg(), ReferenceOracle(NAMES)
+            session, entry.question, candidates, reps, cfg(), ReferenceOracle(NAMES)
         )
     assert not outcome.skipped_all_same and outcome.suite.distinguished
     assert len(outcome.suite.cases) == outcome.suite.attempts == 1

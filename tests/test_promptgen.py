@@ -338,3 +338,10 @@ def test_load_example_pool_errors(tmp_path):
     malformed.write_text('[{"question": "q"}]')
     with pytest.raises(ManifestError):
         load_example_pool(str(malformed))
+    # JSON readers take NaN, which no SQLite result holds.
+    non_finite = tmp_path / "non_finite.json"
+    record = _pool_record(*_golden_pool()[0])
+    record["result"]["rows"] = [[float("nan")]]
+    non_finite.write_text(json.dumps([record]))
+    with pytest.raises(ManifestError, match="example 0 .* result row 0 holds a non-finite number"):
+        load_example_pool(str(non_finite))

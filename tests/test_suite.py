@@ -480,8 +480,10 @@ def test_select_best_skips_single_class(student_instance):
         Candidate("SELECT name FROM student", source_rank=0),
         Candidate("SELECT student.name FROM student", source_rank=1),
     ]
+    session = Session(student_instance)
+    _, reps = classify_candidates(session, candidates)
     outcome = select_best(
-        Session(student_instance), "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        session, "q", candidates, reps, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
     )
     assert outcome.skipped_all_same
     assert outcome.ranked == tuple(candidates)
@@ -494,8 +496,10 @@ def test_select_best_promotes_gold(student_instance):
         Candidate(GOLD_MIN, probability=0.1, source_rank=1),
     ]
     for cfg in (pick_suite_cfg(), fuzz_suite_cfg()):
+        session = Session(student_instance)
+        _, reps = classify_candidates(session, candidates)
         outcome = select_best(
-            Session(student_instance), "lowest age?", candidates, cfg, ReferenceOracle(GOLD_MIN)
+            session, "lowest age?", candidates, reps, cfg, ReferenceOracle(GOLD_MIN)
         )
         assert not outcome.skipped_all_same
         assert outcome.ranked[0].sql == GOLD_MIN
@@ -507,8 +511,10 @@ def test_select_best_class_members_rank_together(student_instance):
         Candidate(GOLD_MIN, probability=0.5, source_rank=1),
         Candidate("SELECT min(age) FROM student WHERE 1 = 1", probability=0.4, source_rank=2),
     ]
+    session = Session(student_instance)
+    _, reps = classify_candidates(session, candidates)
     outcome = select_best(
-        Session(student_instance), "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        session, "q", candidates, reps, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
     )
     assert [c.source_rank for c in outcome.ranked] == [1, 2, 0]
 
@@ -519,7 +525,9 @@ def test_select_best_unavailable_oracle_keeps_order(student_instance):
         Candidate(GOLD_MIN, source_rank=1),
     ]
     cfg = pick_suite_cfg(max_test_cases=4)
-    outcome = select_best(Session(student_instance), "q", candidates, cfg, RecordingOracle())
+    session = Session(student_instance)
+    _, reps = classify_candidates(session, candidates)
+    outcome = select_best(session, "q", candidates, reps, cfg, RecordingOracle())
     assert outcome.ranked == tuple(candidates)
     assert outcome.oracle_unavailable_count == 4
     assert not outcome.skipped_all_same
@@ -539,8 +547,9 @@ def test_select_best_loads_each_database_once(student_instance, monkeypatch):
         Candidate(GOLD_MIN, probability=0.1, source_rank=1),
     ]
     with Session(student_instance) as session:
+        _, reps = classify_candidates(session, candidates)
         outcome = select_best(
-            session, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+            session, "q", candidates, reps, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
         )
     assert outcome.ranked[0].sql == GOLD_MIN
     # The original, then each generated database once: its signature, the
@@ -559,8 +568,9 @@ def test_rerank_of_a_returned_suite_keeps_the_order(student_instance):
         Candidate("SELECT min(age) FROM student WHERE 1 = 1", probability=0.4, source_rank=2),
     ]
     with Session(student_instance) as session:
+        _, reps = classify_candidates(session, candidates)
         outcome = select_best(
-            session, "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+            session, "q", candidates, reps, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
         )
     assert outcome.suite.cases
     again = rerank(candidates, outcome.suite)
@@ -599,8 +609,10 @@ def test_outcome_json_shape(student_instance):
         Candidate(WRONG_MAX, probability=0.9, source_rank=0),
         Candidate(GOLD_MIN, probability=0.1, source_rank=1),
     ]
+    session = Session(student_instance)
+    _, reps = classify_candidates(session, candidates)
     outcome = select_best(
-        Session(student_instance), "q", candidates, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
+        session, "q", candidates, reps, pick_suite_cfg(), ReferenceOracle(GOLD_MIN)
     )
     payload = outcome_to_json(outcome)
     assert payload["ranked"][0]["sql"] == GOLD_MIN
