@@ -94,11 +94,20 @@ def _fuzz_fk_column(
     pools: dict[tuple[str, str], list[Cell]],
     mts: int,
     rng: random.Random,
+    sole_key: bool,
 ) -> list[Cell]:
+    """Values from the parents' pools. A table's only key column takes
+    distinct ones, and integers if it is the rowid (declared exactly
+    INTEGER), which stores a whole float as its int."""
     pool = list(pools[(fks[0].parent_table.lower(), fks[0].parent_column.lower())])
     for fk in fks[1:]:
         allowed = set(pools[(fk.parent_table.lower(), fk.parent_column.lower())])
         pool = [v for v in pool if v in allowed]
+    if sole_key and col.raw_type.upper() == "INTEGER":
+        pool = [
+            int(v) for v in pool
+            if isinstance(v, int) or isinstance(v, float) and v.is_integer()
+        ]
     if not pool:
         tables = ", ".join(sorted({fk.parent_table for fk in fks}))
         raise MalformedDatabase(
@@ -109,9 +118,9 @@ def _fuzz_fk_column(
         distinct = list(dict.fromkeys(pool))
         if len(distinct) >= mts:
             return list(rng.sample(distinct, mts))
-        # Parent has too few distinct values for a unique child column;
-        # FK validity wins and duplicates are accepted.
-        return [rng.choice(pool) for _ in range(mts)]
+        if sole_key:
+            raise MalformedDatabase(f"too few values for the key {fks[0].child_table}.{col.name}")
+        # A column of a composite key may repeat; FK validity wins.
     return [rng.choice(pool) for _ in range(mts)]
 
 
@@ -143,12 +152,13 @@ def fuzz_database(schema: SchemaGraph, config: GenConfig) -> DatabaseInstance:
     for tname in order:
         table = schema.table(tname)
         fks_by_col: dict[str, list[ForeignKey]] = {}
+        self_fks: list[ForeignKey] = []
         for fk in schema.foreign_keys_from(tname):
+            if fk.parent_table.lower() == tname.lower():
+                if fk.parent_column.lower() == fk.child_column.lower():
+                    continue  # every value satisfies a key on its own column
+                self_fks.append(fk)
             fks_by_col.setdefault(fk.child_column.lower(), []).append(fk)
-        self_fks = [
-            fk for fk in schema.foreign_keys_from(tname)
-            if fk.parent_table.lower() == tname.lower()
-        ]
         values_by_col: dict[str, list[Cell]] = {}
         for col in _table_column_order(table, self_fks):
             fks = fks_by_col.get(col.name.lower())
@@ -158,8 +168,9 @@ def fuzz_database(schema: SchemaGraph, config: GenConfig) -> DatabaseInstance:
                     key = (fk.parent_table.lower(), fk.parent_column.lower())
                     if key not in pools and fk.parent_table.lower() == tname.lower():
                         pools[key] = values_by_col[fk.parent_column.lower()]
+                sole_key = table.primary_key() == (col.name,)
                 values_by_col[col.name.lower()] = _fuzz_fk_column(
-                    col, fks, pools, config.mts, rng
+                    col, fks, pools, config.mts, rng, sole_key
                 )
             else:
                 values_by_col[col.name.lower()] = _fuzz_plain_column(col, config.mts, rng)

@@ -13,17 +13,14 @@ all-right case.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Any, Callable
 
 from .corpus import CorpusEntry, apply_type_overrides
 from .dbio import read_database
-from .errors import SqlRerankError
 from .executor import OutcomeKind, Session, execute, results_equal_relaxed
 from .instance import DatabaseInstance
-from .suite import RerankOutcome, SuiteConfig, classify_candidates, select_best
+from .suite import RerankOutcome, SuiteConfig, classify_candidates, dump_json, select_best
 
 
 @dataclass(frozen=True)
@@ -43,73 +40,42 @@ class EntryReport:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """A corpus run's entry reports, in corpus order; the totals derive from them."""
+
     entries: tuple[EntryReport, ...]
-    evaluated: int
-    ex_before: float
-    ex_after: float
-    gated_out_count: int
-    skipped_count: int
-    error_count: int
+
+    @property
+    def evaluated(self) -> int:
+        return sum(r.error is None for r in self.entries)
+
+    @property
+    def ex_before(self) -> float:
+        return self._rate("pre_top1_correct")
+
+    @property
+    def ex_after(self) -> float:
+        return self._rate("post_top1_correct")
+
+    @property
+    def gated_out_count(self) -> int:
+        return sum(r.gated_out for r in self.entries)
+
+    @property
+    def skipped_count(self) -> int:
+        return sum(r.skipped_all_same for r in self.entries)
+
+    @property
+    def error_count(self) -> int:
+        return sum(r.error is not None for r in self.entries)
+
+    def _rate(self, field: str) -> float:
+        usable = [getattr(r, field) for r in self.entries if r.error is None]
+        return sum(usable) / len(usable) if usable else 0.0
 
 
 def entry_seed(base_seed: int, entry_id: str) -> int:
     digest = hashlib.sha256(f"{base_seed}:{entry_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
-
-
-class Originals:
-    """The original databases of a corpus run, one file and one pair at a time.
-
-    A file is read once for its entries, and each (file, type overrides)
-    pair gets one `Session`, made `by_program`, that every entry of the pair
-    shares: it loads once and keeps one outcome memo, by text and by
-    compiled program, so a statement another entry ran is not run again, an
-    error or timeout included. Overrides change declared types, and so the
-    affinity rows get on insert, which is why a session belongs to the pair
-    and not to the file. Failures are kept too, so each entry on a broken
-    file reports the same error. Only the latest file and pair are held:
-    another pair closes the session before it, and another file drops the
-    instance, so keep each pair's entries together, as `evaluate_corpus`
-    does. `close` closes the open session.
-    """
-
-    def __init__(self) -> None:
-        self._file: tuple[str, DatabaseInstance | str] | None = None
-        self._pair: tuple[tuple, Session | str] | None = None
-
-    def __enter__(self) -> Originals:
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._pair is not None and isinstance(self._pair[1], Session):
-            self._pair[1].close()
-        self._pair = None
-
-    def session(self, entry: CorpusEntry) -> Session:
-        """The session on the entry's original; raises what loading it raised."""
-        key = _pair(entry)
-        if self._pair is None or self._pair[0] != key:
-            self.close()
-            self._pair = key, self._open(entry)
-        session = self._pair[1]
-        if isinstance(session, str):
-            raise SqlRerankError(session)
-        return session
-
-    def _open(self, entry: CorpusEntry) -> Session | str:
-        if self._file is None or self._file[0] != entry.db_file:
-            self._file = None  # the instance before is dropped before the read
-            self._file = entry.db_file, _read_or_error(entry.db_file)
-        db = self._file[1]
-        if isinstance(db, str):
-            return db
-        try:
-            return Session(apply_type_overrides(db, entry.type_overrides), by_program=True)
-        except Exception as exc:  # recorded per entry, as a read failure is
-            return str(exc)
 
 
 GATES = ("paper", "none")
@@ -120,14 +86,22 @@ def _check_gate(gate: str) -> None:
         raise ValueError(f"unknown gate {gate!r}")
 
 
-def _pair(entry: CorpusEntry) -> tuple:
-    return entry.db_file, tuple(sorted(entry.type_overrides.items()))
-
-
 def _read_or_error(db_file: str) -> DatabaseInstance | str:
     try:
         return read_database(db_file)
     except Exception as exc:  # recorded per entry, not fatal
+        return str(exc)
+
+
+def _open_original(db: DatabaseInstance | str, entry: CorpusEntry) -> Session | str:
+    """A session, made `by_program`, on the entry's original: the file's
+    instance `db` under the entry's type overrides. Or the error text of
+    reading the file, or of applying the overrides."""
+    if isinstance(db, str):
+        return db
+    try:
+        return Session(apply_type_overrides(db, entry.type_overrides), by_program=True)
+    except Exception as exc:  # recorded per entry, as a read failure is
         return str(exc)
 
 
@@ -137,25 +111,24 @@ def evaluate_entry(
     config: SuiteConfig,
     gate: str = "paper",
     base_seed: int = 0,
-    originals: Originals | None = None,
+    original: Session | str | None = None,
 ) -> EntryReport:
-    """Evaluate one entry on its original from `originals`, the ones a
-    corpus run shares, or from originals of its own when none are given.
-    The session it is handed stays open for the pair's next entry."""
+    """Evaluate one entry on `original`, the session a corpus run opened on
+    the entry's original, or the error text opening it gave; the session
+    stays open for the pair's next entry. With None, the entry runs as a
+    corpus of its own, which opens and closes its original."""
     _check_gate(gate)
     if entry.gold_sql is None:
         return EntryReport(entry_id=entry.entry_id, error="missing gold_sql", tags=entry.tags)
-    if originals is None:
-        with Originals() as own:
-            return evaluate_entry(entry, oracle_factory, config, gate, base_seed, own)
-    try:
-        session = originals.session(entry)
-    except SqlRerankError as exc:  # per-entry failures are recorded, not fatal
-        return EntryReport(entry_id=entry.entry_id, error=f"database load: {exc}", tags=entry.tags)
-
+    if original is None:
+        return evaluate_corpus([entry], oracle_factory, config, gate, base_seed).entries[0]
+    if isinstance(original, str):  # per-entry failures are recorded, not fatal
+        return EntryReport(
+            entry_id=entry.entry_id, error=f"database load: {original}", tags=entry.tags
+        )
     # One session on the original database serves the gold run, the
     # classification, the gate, both top-1 checks and the re-rank.
-    gold_outcome = execute(session, entry.gold_sql)
+    gold_outcome = execute(original, entry.gold_sql)
     if gold_outcome.kind is not OutcomeKind.OK or gold_outcome.result is None:
         return EntryReport(
             entry_id=entry.entry_id,
@@ -167,10 +140,10 @@ def evaluate_entry(
     # One comparison with the gold per class; its members share the verdict,
     # and the re-rank takes the same representatives.
     candidates = list(entry.candidates)
-    classes, representatives = classify_candidates(session, candidates)
+    classes, representatives = classify_candidates(original, candidates)
     class_correct = []
     for rep in representatives:
-        rep_outcome = execute(session, rep.sql)
+        rep_outcome = execute(original, rep.sql)
         class_correct.append(
             rep_outcome.kind is OutcomeKind.OK
             and results_equal_relaxed(rep_outcome.result, gold_result)
@@ -196,7 +169,7 @@ def evaluate_entry(
     oracle = oracle_factory(entry)
     try:
         outcome: RerankOutcome = select_best(
-            session, entry.question, candidates, representatives, seeded, oracle
+            original, entry.question, candidates, representatives, seeded, oracle
         )
     except Exception as exc:
         return EntryReport(
@@ -227,41 +200,40 @@ def evaluate_corpus(
     gate: str = "paper",
     base_seed: int = 0,
 ) -> EvalReport:
+    """Evaluate the entries one original at a time. Each file is read once,
+    and each (file, type overrides) pair gets one `by_program` session that
+    its entries share: it loads once, and its memo runs no statement twice.
+    Overrides change declared types, and so the affinity rows get on insert,
+    which is why a session belongs to the pair. A pair's session closes when
+    its entries are done, also on an exception.
+    """
     _check_gate(gate)
     # Entries by file, in order of first appearance, then by pair, in corpus
     # order within a pair; each report goes back to its corpus index.
     files: dict[str, dict[tuple, list[int]]] = {}
     for i, entry in enumerate(entries):
-        files.setdefault(entry.db_file, {}).setdefault(_pair(entry), []).append(i)
+        pair = tuple(sorted(entry.type_overrides.items()))
+        files.setdefault(entry.db_file, {}).setdefault(pair, []).append(i)
     reports: list[EntryReport | None] = [None] * len(entries)
-    with Originals() as originals:
-        for pairs in files.values():
-            for i in chain.from_iterable(pairs.values()):
-                reports[i] = evaluate_entry(
-                    entries[i], oracle_factory, config, gate, base_seed, originals
-                )
-            originals.close()  # a file's last session closes with the file
-    return build_report(reports)
-
-
-def build_report(reports: list[EntryReport]) -> EvalReport:
-    usable = [r for r in reports if r.error is None]
-    evaluated = len(usable)
-    ex_before = sum(r.pre_top1_correct for r in usable) / evaluated if evaluated else 0.0
-    ex_after = sum(r.post_top1_correct for r in usable) / evaluated if evaluated else 0.0
-    return EvalReport(
-        entries=tuple(reports),
-        evaluated=evaluated,
-        ex_before=ex_before,
-        ex_after=ex_after,
-        gated_out_count=sum(r.gated_out for r in reports),
-        skipped_count=sum(r.skipped_all_same for r in reports),
-        error_count=sum(r.error is not None for r in reports),
-    )
+    for db_file, pairs in files.items():
+        db = _read_or_error(db_file)
+        for indices in pairs.values():
+            original = _open_original(db, entries[indices[0]])
+            try:
+                for i in indices:
+                    reports[i] = evaluate_entry(
+                        entries[i], oracle_factory, config, gate, base_seed, original
+                    )
+            finally:
+                if isinstance(original, Session):
+                    original.close()
+                original = None  # its memo goes before the next pair loads
+        db = None  # the instance goes before the next file is read
+    return EvalReport(tuple(reports))
 
 
 def report_to_json(report: EvalReport) -> dict[str, Any]:
-    payload = {
+    return {
         "entries": [{**vars(r), "tags": list(r.tags)} for r in report.entries],
         "evaluated": report.evaluated,
         "ex_before": report.ex_before,
@@ -270,28 +242,6 @@ def report_to_json(report: EvalReport) -> dict[str, Any]:
         "skipped_count": report.skipped_count,
         "error_count": report.error_count,
     }
-    _check_report_consistency(payload)
-    return payload
-
-
-def _check_report_consistency(payload: dict[str, Any]) -> None:
-    """The aggregates must recompute from the per-entry rows exactly."""
-    rows = payload["entries"]
-    usable = [r for r in rows if r["error"] is None]
-    expected = {
-        "evaluated": len(usable),
-        "ex_before": sum(r["pre_top1_correct"] for r in usable) / len(usable) if usable else 0.0,
-        "ex_after": sum(r["post_top1_correct"] for r in usable) / len(usable) if usable else 0.0,
-        "gated_out_count": sum(r["gated_out"] for r in rows),
-        "skipped_count": sum(r["skipped_all_same"] for r in rows),
-        "error_count": sum(r["error"] is not None for r in rows),
-    }
-    for name, value in expected.items():
-        if payload[name] != value:
-            raise ValueError(
-                f"inconsistent report: {name} is {payload[name]!r},"
-                f" the entries give {value!r}"
-            )
 
 
 def render_report_table(report: EvalReport) -> str:
@@ -317,4 +267,4 @@ def render_report_table(report: EvalReport) -> str:
 
 
 def dump_report(report: EvalReport) -> str:
-    return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"
+    return dump_json(report_to_json(report))

@@ -197,6 +197,7 @@ def generate_suite(
     oracle_tag = getattr(oracle, "tag", "")
 
     session: Session | None = None
+    distinguished = False
     try:
         for _ in range(config.max_test_cases):
             attempts += 1
@@ -237,7 +238,8 @@ def generate_suite(
             )
             kept_signatures.append(signature)
             signature_set.add(signature)
-            if _pairwise_distinguished(kept_signatures, len(representatives)):
+            distinguished = _pairwise_distinguished(kept_signatures, len(representatives))
+            if distinguished:
                 break
     except BaseException:
         # No suite is handed out, so release every session opened so far.
@@ -252,8 +254,7 @@ def generate_suite(
         attempts=attempts,
         dropped_duplicate=dropped_duplicate,
         dropped_unavailable=dropped_unavailable,
-        distinguished=bool(kept_signatures)
-        and _pairwise_distinguished(kept_signatures, len(representatives)),
+        distinguished=distinguished,
     )
 
 

@@ -1,4 +1,5 @@
 import sqlite3
+from random import Random
 
 import pytest
 
@@ -10,6 +11,7 @@ from sqlrerank.dbgen import (
     generate_database,
     prune_schema,
     sample_database,
+    _fuzz_fk_column,
 )
 from sqlrerank.dbio import load_into_connection
 from sqlrerank.errors import MalformedDatabase, TargetIsForeignKey, UnknownColumn
@@ -153,6 +155,45 @@ def test_fuzz_multi_fk_intersection():
     # Two samples of 5 from 101 values overlap sometimes but not always.
     assert outcomes["ok"] > 0
     assert outcomes["empty"] > 0
+
+
+def test_fuzz_a_key_on_its_own_column_holds_any_value():
+    # t0(id int REFERENCES t0(id)): every value satisfies the key.
+    schema = SchemaGraph(
+        tables=(Table("t0", (col("id"),)),),
+        foreign_keys=(ForeignKey("t0", "id", "t0", "id"),),
+    )
+    db = fuzz_database(schema, fuzz_cfg(mts=2, seed=0))
+    assert db.row_count("t0") == 2
+    assert foreign_key_violations(db) == []
+    assert execute(db, "SELECT count(*) FROM t0").kind is OutcomeKind.OK
+
+
+def _rowid_child_of(parent_type: ColumnType, raw: str) -> SchemaGraph:
+    # t1.id is declared exactly INTEGER and is t1's only key column: the rowid.
+    return SchemaGraph(
+        tables=(
+            Table("t0", (col("id", parent_type, raw, pk=True),)),
+            Table("t1", (col("id", raw="INTEGER", pk=True),)),
+        ),
+        foreign_keys=(ForeignKey("t1", "id", "t0", "id"),),
+    )
+
+
+def test_fuzz_a_rowid_alias_child_takes_only_integers():
+    # The rowid refuses a REAL parent's fractional values; too few are left.
+    real_parent = _rowid_child_of(ColumnType.REAL, "REAL")
+    for seed in range(3):
+        with pytest.raises(MalformedDatabase, match="t1.id"):
+            fuzz_database(real_parent, fuzz_cfg(mts=2, seed=seed))
+    db = fuzz_database(_rowid_child_of(ColumnType.INTEGER, "int"), fuzz_cfg(mts=2, seed=0))
+    assert foreign_key_violations(db) == []
+    assert execute(db, "SELECT id FROM t1").kind is OutcomeKind.OK
+    # A whole float is kept as its int.
+    fk = real_parent.foreign_keys[0]
+    pools = {("t0", "id"): [63.11, 15.0, 7]}
+    values = _fuzz_fk_column(col("id", raw="INTEGER", pk=True), [fk], pools, 2, Random(0), True)
+    assert sorted(values) == [7, 15] and all(type(v) is int for v in values)
 
 
 # --- random selection ---------------------------------------------------------

@@ -2,7 +2,8 @@
 grammar, a candidate's result on the pruned instance equals its result on
 the original (ROADMAP property 4(a)). And the analysis that prunes, drawn
 from the reads the original's session records while it runs the
-candidates, equals the schema-only reference in `refimpl`.
+candidates, equals the schema-only reference in `refimpl`. And every
+instance either generator makes loads and keeps its keys (property 4(b)).
 
 The schemas have one to three tables whose columns come from a small shared
 name pool, so NATURAL and USING joins find shared columns. Columns are
@@ -23,8 +24,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqlrerank import dbgen
-from sqlrerank.dbgen import prune_schema
+from sqlrerank.dbgen import (
+    GenConfig, GenMethod, constrain_numbers, fuzz_database, prune_schema, sample_database,
+)
+from sqlrerank.errors import SqlRerankError
 from sqlrerank.executor import OutcomeKind, Session, execute, results_equal
+from sqlrerank.instance import foreign_key_violations
 from sqlrerank.schema import ColumnDef, ColumnType, ForeignKey, SchemaGraph, Table
 from sqlrerank.sqlanalysis import analyze_all
 
@@ -178,3 +183,36 @@ def test_the_sessions_reads_match_the_schema_only_reference(case):
             dbgen, "analyze_all", lambda _session, texts: schema_only_analyze_all(texts, db.schema)
         ):
             assert got == prune_schema(session, sqls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases(), st.sampled_from(list(GenMethod)), st.integers(0, 2**16))
+def test_generated_instances_load_and_keep_their_keys(case, method, seed):
+    """Either generator, onto the pruned schema and with constraining, as a
+    suite generates (ROADMAP property 4(b)): the instance loads, satisfies
+    its foreign keys, and holds constrained cells in range and off key
+    columns; or the generator refuses with a `SqlRerankError`. Sampling
+    needs an original that loads: its rows are the sample's."""
+    db, sql, other = case
+    config = GenConfig(mts=2, method=method, seed=seed)
+    schema, targets = prune_schema(db, [sql, other])
+    if method is GenMethod.RANDOM_SELECTION:
+        assume(execute(db, "SELECT 1").kind is OutcomeKind.OK)
+    try:
+        if method is GenMethod.FUZZING:
+            generated = fuzz_database(schema, config)
+        else:
+            generated = sample_database(db, config, schema)
+        generated = constrain_numbers(generated, targets, config)
+    except SqlRerankError:
+        return
+    outcome = execute(generated, "SELECT 1")
+    assert outcome.kind is OutcomeKind.OK, outcome.message
+    assert foreign_key_violations(generated) == []
+    lo, hi = config.constrained_range
+    for tname, cname in targets:
+        column = schema.table(tname).column(cname)
+        assert not column.is_primary_key and not schema.is_foreign_key_endpoint(tname, cname)
+        data = generated.data_for(tname)
+        i = data.columns.index(column.name)
+        assert all(lo <= row[i] <= hi for row in data.rows)
