@@ -160,6 +160,7 @@ def _cmd_gen_suite(args) -> int:
             f"classes: {len(classes)}; cases kept: {len(suite.cases)};"
             f" dropped duplicate: {suite.dropped_duplicate};"
             f" dropped unavailable: {suite.dropped_unavailable};"
+            f" dropped malformed: {suite.dropped_malformed};"
             f" distinguished: {'yes' if suite.distinguished else 'no'}"
         )
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -94,13 +94,13 @@ def _read_or_error(db_file: str) -> DatabaseInstance | str:
 
 
 def _open_original(db: DatabaseInstance | str, entry: CorpusEntry) -> Session | str:
-    """A session, made `by_program`, on the entry's original: the file's
-    instance `db` under the entry's type overrides. Or the error text of
-    reading the file, or of applying the overrides."""
+    """A session on the entry's original: the file's instance `db` under the
+    entry's type overrides. Or the error text of reading the file, or of
+    applying the overrides."""
     if isinstance(db, str):
         return db
     try:
-        return Session(apply_type_overrides(db, entry.type_overrides), by_program=True)
+        return Session(apply_type_overrides(db, entry.type_overrides))
     except Exception as exc:  # recorded per entry, as a read failure is
         return str(exc)
 
@@ -187,7 +187,7 @@ def evaluate_entry(
         skipped_all_same=outcome.skipped_all_same,
         distinguished=suite.distinguished,
         suite_size=len(suite.cases),
-        oracle_calls=suite.attempts - suite.dropped_duplicate,
+        oracle_calls=suite.attempts - suite.dropped_duplicate - suite.dropped_malformed,
         oracle_unavailable=suite.dropped_unavailable,
         tags=entry.tags,
     )
@@ -201,8 +201,8 @@ def evaluate_corpus(
     base_seed: int = 0,
 ) -> EvalReport:
     """Evaluate the entries one original at a time. Each file is read once,
-    and each (file, type overrides) pair gets one `by_program` session that
-    its entries share: it loads once, and its memo runs no statement twice.
+    and each (file, type overrides) pair gets one session that its entries
+    share: it loads once, and its memo runs no statement twice.
     Overrides change declared types, and so the affinity rows get on insert,
     which is why a session belongs to the pair. A pair's session closes when
     its entries are done, also on an exception.

@@ -20,8 +20,8 @@ DEFAULT_TIMEOUT = 5.0
 # How often (in VM instructions) the progress handler checks the deadline.
 _PROGRESS_STEP = 1000
 
-# Progress steps one statement runs before a session made `by_program`
-# starts keying outcomes by compiled program.
+# Progress steps one statement runs before a session starts keying
+# outcomes by compiled program.
 _KEYING_STEPS = 5
 
 
@@ -136,27 +136,26 @@ class Session:
     statement, so every compile reaches the authorizer, and the memo
     compiles no text twice.
 
-    A session made `by_program` also memoizes by spelling (order flag and
-    normal form), so a respelling in keyword case, layout, comments or a
-    trailing `;` of a statement that ran without error is not run or
-    explained; a statement that errs runs by itself, so its message quotes
-    its own text. It memoizes by compiled program too (order flag and
-    `EXPLAIN` listing, plus the text where EXPLAIN prints an operand lossily
-    or fails), so an alias spelling of a statement it ran is not run. As
-    EXPLAIN costs about a small statement, keying by program starts once one
-    statement runs _KEYING_STEPS progress steps or times out, and covers the
-    statements run so far; on small instances it never starts. A shared
-    outcome carries the first spelling's column labels; plain sessions,
-    whose labels `render_answer` reads, memoize outcomes per text only.
+    A session also memoizes by spelling (order flag and normal form), so a
+    respelling in keyword case, layout, comments or a trailing `;` of a
+    statement that ran without error is not run, explained or loaded for; a
+    statement that errs runs by itself, so its message quotes its own text.
+    It memoizes by compiled program too (order flag and `EXPLAIN` listing,
+    plus the text where EXPLAIN prints an operand lossily or fails), so an
+    alias spelling of a statement it ran is not run. As EXPLAIN costs about
+    a small statement, keying by program starts once one statement runs
+    _KEYING_STEPS progress steps or times out, and covers the statements run
+    so far; on small instances it never starts. A shared outcome carries the
+    column labels of the first statement with its spelling or program; no
+    comparison reads labels.
     """
 
-    def __init__(self, db: DatabaseInstance, by_program: bool = False):
+    def __init__(self, db: DatabaseInstance):
         self.db = db
-        self._by_program = by_program
         self._conn: sqlite3.Connection | None = None
         self._load_failure: ExecutionOutcome | None = None
-        # Outcomes by SQL text, by spelling on sessions made by_program, and
-        # by program key once the session keys by it.
+        # Outcomes by SQL text, by spelling, and by program key once the
+        # session keys by it.
         self._memo: dict[str | tuple, ExecutionOutcome] = {}
         # Reads by spelling, and the reads of the latest compile.
         self._reads: dict[str, frozenset[tuple[str, str]]] = {}
@@ -176,31 +175,32 @@ class Session:
 
     def run(self, sql: str) -> ExecutionOutcome:
         outcome = self._memo.get(sql)
-        if outcome is None:
-            conn = self._connection()
-            if conn is None:
-                outcome = self._load_failure
-            else:
-                ordered = has_top_level_order_by(sql)
-                spelled = spelling(sql)
-                by_spelling = (ordered, spelled) if self._by_program and spelled else None
-                outcome = self._memo.get(by_spelling)
-                if outcome is None:
-                    key = self._program_key(conn, sql, ordered, spelled)
-                    outcome = self._memo.get(key) or self._execute(conn, sql, ordered, spelled)
-                    self._memo.setdefault(key, outcome)
-                    if by_spelling and outcome.kind is not OutcomeKind.SQL_ERROR:
-                        self._memo[by_spelling] = outcome
-            self._memo[sql] = outcome
-            if self._stepped and not self._keyed and self._by_program:
+        if outcome is not None:
+            return outcome
+        ordered = has_top_level_order_by(sql)
+        spelled = spelling(sql)
+        by_spelling = (ordered, spelled) if spelled else None
+        outcome = self._memo.get(by_spelling)
+        # Only a statement memoized by neither text nor spelling loads.
+        conn = self._connection() if outcome is None else None
+        if conn is not None:
+            key = self._program_key(conn, sql, ordered, spelled)
+            outcome = self._memo.get(key) or self._execute(conn, sql, ordered, spelled)
+            self._memo.setdefault(key, outcome)
+            if by_spelling and outcome.kind is not OutcomeKind.SQL_ERROR:
+                self._memo[by_spelling] = outcome
+            if self._stepped and not self._keyed:
                 self._keyed = True
                 for text, known in list(self._memo.items()):
                     if not isinstance(text, str):
-                        continue  # a spelling key
+                        continue  # a spelling or program key
                     result = known.result
                     ordered = result.order_significant if result else has_top_level_order_by(text)
                     key = self._program_key(conn, text, ordered, spelling(text))
                     self._memo.setdefault(key, known)
+        if outcome is None:
+            outcome = self._load_failure
+        self._memo[sql] = outcome
         return outcome
 
     def reads(self, sql: str) -> frozenset[tuple[str, str]]:

@@ -31,12 +31,7 @@ class OracleRequest:
     prompt: Prompt
     # The session on the database asked about; backends run SQL through it.
     session: Session = field(compare=False, repr=False)
-    question: str
     request_id: str
-
-    @property
-    def db(self) -> DatabaseInstance:
-        return self.session.db
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,6 @@ def build_request(session: Session, question: str, config: PromptConfig) -> Orac
     return OracleRequest(
         prompt=build_prompt(session.db, question, config),
         session=session,
-        question=question,
         request_id=request_id_for(session.db, question, config),
     )
 

@@ -51,8 +51,6 @@ class PromptConfig:
 @dataclass(frozen=True)
 class Prompt:
     text: str
-    rendered_format: DbFormat
-    shot_count: int
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -197,11 +195,7 @@ def build_prompt(db: DatabaseInstance, question: str, config: PromptConfig) -> P
         f"Question: {question}\n\n"
         f"Answer:\n"
     )
-    return Prompt(
-        text="\n\n".join(parts),
-        rendered_format=config.db_format,
-        shot_count=config.shots,
-    )
+    return Prompt(text="\n\n".join(parts))
 
 
 def load_example_pool(path: str) -> tuple[tuple[DatabaseInstance, str, ExecutionResult], ...]:

@@ -24,6 +24,7 @@ from .dbgen import (
     prune_schema,
     sample_database,
 )
+from .errors import MalformedDatabase
 from .executor import (
     ExecutionOutcome,
     ExecutionResult,
@@ -84,6 +85,7 @@ class TestSuite:
     attempts: int = 0
     dropped_duplicate: int = 0
     dropped_unavailable: int = 0
+    dropped_malformed: int = 0
     distinguished: bool = False
 
     def close(self) -> None:
@@ -166,10 +168,11 @@ def generate_suite(
     """Generate up to config.max_test_cases distinguishing test cases.
 
     Each iteration generates a database (pruned against all candidate SQLs
-    and with aggregation/sort columns constrained to small integers), drops
-    it if its signature, the tuple of each representative's
-    `result_canonical_key` on it, duplicates a kept one, otherwise asks the
-    oracle for the expected result (dropping the case when the oracle is
+    and with aggregation/sort columns constrained to small integers). A draw
+    with no valid database (MalformedDatabase) is dropped, and so is a
+    database whose signature, the tuple of each representative's
+    `result_canonical_key` on it, duplicates a kept one; for any other the
+    oracle is asked for the expected result (and the case dropped when it is
     unavailable). The loop stops early once the kept cases distinguish every
     representative pair. The signatures are not part of the suite.
 
@@ -193,7 +196,7 @@ def generate_suite(
     kept_cases: list[TestCase] = []
     kept_signatures: list[tuple] = []
     signature_set: set[tuple] = set()
-    attempts = dropped_duplicate = dropped_unavailable = 0
+    attempts = dropped_duplicate = dropped_unavailable = dropped_malformed = 0
     oracle_tag = getattr(oracle, "tag", "")
 
     session: Session | None = None
@@ -205,12 +208,16 @@ def generate_suite(
             # sequence does not depend on oracle behavior.
             iteration_seed = master.getrandbits(63)
             gen_config = replace(config.gen, seed=iteration_seed)
-            if gen_config.method is GenMethod.FUZZING:
-                candidate_db = fuzz_database(schema, gen_config)
-            else:
-                candidate_db = sample_database(original_db, gen_config, schema)
-            if targets:
-                candidate_db = constrain_numbers(candidate_db, targets, gen_config)
+            try:
+                if gen_config.method is GenMethod.FUZZING:
+                    candidate_db = fuzz_database(schema, gen_config)
+                else:
+                    candidate_db = sample_database(original_db, gen_config, schema)
+                if targets:
+                    candidate_db = constrain_numbers(candidate_db, targets, gen_config)
+            except MalformedDatabase:
+                dropped_malformed += 1
+                continue
 
             session = Session(candidate_db)
             signature = tuple(
@@ -254,6 +261,7 @@ def generate_suite(
         attempts=attempts,
         dropped_duplicate=dropped_duplicate,
         dropped_unavailable=dropped_unavailable,
+        dropped_malformed=dropped_malformed,
         distinguished=distinguished,
     )
 
@@ -347,6 +355,7 @@ def suite_to_json(suite: TestSuite) -> dict[str, Any]:
         "attempts": suite.attempts,
         "dropped_duplicate": suite.dropped_duplicate,
         "dropped_unavailable": suite.dropped_unavailable,
+        "dropped_malformed": suite.dropped_malformed,
         "distinguished": suite.distinguished,
     }
 
@@ -364,6 +373,7 @@ def suite_from_json(payload: dict[str, Any]) -> TestSuite:
         attempts=payload.get("attempts", 0),
         dropped_duplicate=payload.get("dropped_duplicate", 0),
         dropped_unavailable=payload.get("dropped_unavailable", 0),
+        dropped_malformed=payload.get("dropped_malformed", 0),
         distinguished=payload.get("distinguished", False),
     )
 

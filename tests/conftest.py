@@ -51,6 +51,27 @@ def make_instance(schema: SchemaGraph, rows_by_table: dict[str, list[tuple]]) ->
     return DatabaseInstance(schema=schema, tables=tables)
 
 
+# Candidates on `rowid_child_of_real_key`: fuzzing for them draws fractional
+# t0.id values, which t1.id, the rowid, cannot take, so a draw can hold no
+# valid t1.
+ROWID_CHILD_CANDIDATES = (
+    "SELECT id, w FROM t1",
+    "SELECT count(*) FROM t1 JOIN t0 ON t1.id = t0.id",
+)
+
+
+def rowid_child_of_real_key() -> DatabaseInstance:
+    """t1.id, declared exactly INTEGER and so the rowid, references t0's REAL key."""
+    schema = SchemaGraph(
+        tables=(
+            Table("t0", (col("id", ColumnType.REAL, "REAL", pk=True), col("v"))),
+            Table("t1", (col("id", raw="INTEGER", pk=True), col("w"))),
+        ),
+        foreign_keys=(ForeignKey("t1", "id", "t0", "id"),),
+    )
+    return make_instance(schema, {"t0": [(1.0, 1), (2.5, 2)], "t1": [(1, 7)]})
+
+
 @pytest.fixture
 def student_schema() -> SchemaGraph:
     """Two tables: enrollment rows reference students."""
@@ -77,8 +98,8 @@ def student_instance(student_schema) -> DatabaseInstance:
 @pytest.fixture
 def many_students(student_schema) -> DatabaseInstance:
     """The student schema with enough rows that a scan of them can run past
-    the progress steps after which a session made `by_program` keys
-    outcomes by compiled program."""
+    the progress steps after which a session keys outcomes by compiled
+    program."""
     return make_instance(
         student_schema,
         {

@@ -9,7 +9,7 @@ import sqlrerank.dbgen
 import sqlrerank.evaluate
 import sqlrerank.executor
 import sqlrerank.suite
-from conftest import col, make_instance
+from conftest import ROWID_CHILD_CANDIDATES, col, make_instance, rowid_child_of_real_key
 from conftest import record_statements
 from sqlrerank.corpus import apply_type_overrides, load_corpus
 from sqlrerank.dbgen import GenConfig, GenMethod
@@ -294,6 +294,19 @@ def test_evaluate_entry_judges_each_candidate_against_an_ordered_gold(tmp_path):
     # Pruning drops `id`, which no candidate reads, so the reference
     # oracle's gold fails on every generated database.
     assert report == EntryReport(entry_id="ordered", oracle_calls=10, oracle_unavailable=10)
+
+
+def test_evaluate_entry_asks_no_oracle_for_a_draw_with_no_valid_database(tmp_path):
+    """Every fuzzing draw for these candidates holds no valid t1, so the
+    entry is re-ranked on an empty suite and made no oracle call. (The
+    candidates' results agree under relaxed comparison, so only gate
+    "none" lets them through.)"""
+    write_database(rowid_child_of_real_key(), str(tmp_path / "k.db"))
+    gold, other = ROWID_CHILD_CANDIDATES
+    (entry,) = _corpus(tmp_path, [_entry("keys", [(other, 0.6), (gold, 0.4)], gold, db_file="k.db")])
+    fuzzing = SuiteConfig(gen=GenConfig(method=GenMethod.FUZZING, mts=5))
+    report = evaluate_entry(entry, reference_factory, fuzzing, gate="none")
+    assert report == EntryReport(entry_id="keys", pre_top1_correct=True, post_top1_correct=True)
 
 
 @pytest.mark.parametrize("gate", ["paper", "none"])
@@ -803,8 +816,8 @@ def test_evaluate_corpus_closes_the_original_when_an_entry_raises(
 
 def test_original_session_matches_a_plain_session(corpus):
     """An EXPLAIN listing carries the schema cookie, which only an original
-    loaded like any other instance shares with a plain session."""
+    loaded like any other instance shares with a one-shot session."""
     original = read_database(corpus[0].db_file)
-    with _open_original(original, corpus[0]) as session, Session(original) as plain:
+    with _open_original(original, corpus[0]) as session:
         for sql in ("EXPLAIN SELECT name FROM student", GOLD_MIN, "SELECT ghost FROM student"):
-            assert execute(session, sql) == execute(plain, sql), sql
+            assert execute(session, sql) == execute(original, sql), sql

@@ -216,10 +216,19 @@ def test_closed_session_reloads_for_new_statements_only(student_instance, monkey
     session.close()
 
 
+def test_closed_session_serves_a_respelling_without_a_load(student_instance, monkeypatch):
+    loads = _count_loads(monkeypatch)
+    session = Session(student_instance)
+    first = execute(session, COUNT_STUDENTS)
+    session.close()
+    assert execute(session, COUNT_STUDENTS.lower() + ";") is first
+    assert loads == [student_instance]
+
+
 def test_program_keyed_session_matches_a_plain_session(student_instance, monkeypatch):
-    """A session made `by_program`, as the originals of a corpus run are,
-    loads like a plain one, so even an EXPLAIN listing, which carries the
-    schema cookie, reads the same on both."""
+    """A session that runs many statements loads like a one-shot session per
+    statement, so even an EXPLAIN listing, which carries the schema cookie,
+    reads the same on both."""
     statements = (
         COUNT_STUDENTS,
         "SELECT * FROM enrollment ORDER BY grade DESC",
@@ -228,16 +237,15 @@ def test_program_keyed_session_matches_a_plain_session(student_instance, monkeyp
         "SELECT ghost FROM student",
         "EXPLAIN SELECT name FROM student",
     )
-    with Session(student_instance) as session:
-        plain = [execute(session, sql) for sql in statements]
+    plain = [execute(student_instance, sql) for sql in statements]
     assert "not authorized" in plain[3].message
     loads = _count_loads(monkeypatch)
-    with Session(student_instance, by_program=True) as session:
+    with Session(student_instance) as session:
         assert [execute(session, sql) for sql in statements] == plain
     assert loads == [student_instance]
 
 
-# --- program keys on sessions made by_program ------------------------------------
+# --- program keys -----------------------------------------------------------------
 
 # Eight spellings of one query: case, aliases, qualified names, a comma join,
 # INNER, layout, a trailing `;` and a comment. SQLite compiles them all to
@@ -261,7 +269,7 @@ TOP_GRADES = (
     " ON s.student_id = e.student_id WHERE e.grade > 90  -- top grades",
 )
 # Scans every student in more than _KEYING_STEPS progress steps (21), so a
-# session made by_program keys by program from here on.
+# session keys by program from here on.
 SCAN = "SELECT sum(age), max(name), min(student_id) FROM student"
 # Scans a sixth of them in fewer steps (2).
 SHORT_SCAN = "SELECT sum(age) FROM student WHERE student_id <= 400"
@@ -276,16 +284,11 @@ def _explained(statements: list[str]) -> list[str]:
     return [sql for sql in statements if sql.startswith("EXPLAIN ")]
 
 
-def _keyed(db):
-    return Session(db, by_program=True)
-
-
 def test_copy_session_runs_spellings_of_one_program_once(many_students, monkeypatch):
-    with Session(many_students) as plain:
-        expected = execute(plain, TOP_GRADES[0])
+    expected = execute(many_students, TOP_GRADES[0])
     assert len(expected.result.rows) > 1
     statements = record_statements(monkeypatch)
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         execute(session, SCAN)
         outcomes = [execute(session, sql) for sql in TOP_GRADES]
     assert _ran(statements) == [SCAN, TOP_GRADES[0]]
@@ -304,10 +307,9 @@ def test_copy_session_runs_spellings_of_one_program_once(many_students, monkeypa
     ],
 )
 def test_copy_session_keeps_lossily_listed_literals_apart(many_students, pair, monkeypatch):
-    with Session(many_students) as plain:
-        expected = [execute(plain, sql) for sql in pair]
+    expected = [execute(many_students, sql) for sql in pair]
     statements = record_statements(monkeypatch)
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         execute(session, SCAN)
         outcomes = [execute(session, sql) for sql in pair]
     assert _ran(statements) == [SCAN, *pair]
@@ -319,10 +321,10 @@ def test_copy_session_keeps_lossily_listed_literals_apart(many_students, pair, m
 
 def test_copy_session_keeps_each_order_flag(many_students):
     ordered, unordered = "SELECT name FROM student ORDER BY rowid", "SELECT name FROM student"
-    with _keyed(many_students) as session, Session(many_students) as plain:
+    with Session(many_students) as session:
         execute(session, SCAN)
         for sql in (ordered, unordered, ordered):
-            assert execute(session, sql) == execute(plain, sql)
+            assert execute(session, sql) == execute(many_students, sql)
         assert execute(session, ordered).result.order_significant
         assert not execute(session, unordered).result.order_significant
 
@@ -334,7 +336,7 @@ def test_order_flag_is_part_of_the_program_key(many_students, monkeypatch):
     monkeypatch.setattr(
         sqlrerank.executor, "has_top_level_order_by", lambda sql: sql.endswith("-- ordered")
     )
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         execute(session, SCAN)
         unordered = execute(session, "SELECT name FROM student")
         ordered = execute(session, "SELECT name FROM student -- ordered")
@@ -350,7 +352,7 @@ def test_timed_out_ordered_statement_is_not_run_again(many_students, monkeypatch
     monkeypatch.setattr(sqlrerank.executor, "DEFAULT_TIMEOUT", 0)
     spellings = ["SELECT name FROM student ORDER BY name", "select name from student order by name"]
     statements = record_statements(monkeypatch)
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         outcomes = [execute(session, sql) for sql in spellings]
     assert _ran(statements) == spellings[:1]
     assert outcomes[0].kind is outcomes[1].kind is OutcomeKind.TIMEOUT
@@ -373,13 +375,12 @@ def test_copy_session_errors_match_a_plain_session(many_students):
         "",
         "SELECT 'a\x00b'",
     )
-    with _keyed(many_students) as session, Session(many_students) as plain:
+    with Session(many_students) as session:
         execute(session, SCAN)
         for sql in statements:
-            got, want = execute(session, sql), execute(plain, sql)
-            assert got == want, sql
-    assert execute(plain, "DELETE FROM student").message == "not authorized"
-    assert execute(plain, "SELECT count(*) FROM student").result.rows == ((2400,),)
+            assert execute(session, sql) == execute(many_students, sql), sql
+        assert execute(session, "DELETE FROM student").message == "not authorized"
+        assert execute(session, "SELECT count(*) FROM student").result.rows == ((2400,),)
 
 
 # The spellings of TOP_GRADES that differ in more than case, layout, comments
@@ -400,20 +401,18 @@ def _aliased(template: str, i: int) -> str:
     return template.format(s=f"s{i}")
 
 
-def test_plain_and_stepless_sessions_run_no_explain(many_students, student_instance, monkeypatch):
+def test_stepless_sessions_run_no_explain(many_students, student_instance, monkeypatch):
     queries = (SCAN, *ALIAS_SPELLINGS)
     statements = record_statements(monkeypatch)
-    # A plain session whose statements step, then a keyed session whose
-    # statements never step: each runs every spelling.
-    with Session(many_students) as plain, _keyed(student_instance) as stepless:
-        for session in (plain, stepless):
-            for sql in queries:
-                execute(session, sql)
-    assert [sql for sql in statements if sql in queries] == [*queries, *queries]
+    # A session whose statements never step runs every alias spelling.
+    with Session(student_instance) as stepless:
+        for sql in queries:
+            execute(stepless, sql)
+    assert [sql for sql in statements if sql in queries] == list(queries)
     assert _explained(statements) == []
-    # A keyed session on the large instance explains what it has run once a
+    # A session on the large instance explains what it has run once a
     # statement runs _KEYING_STEPS steps.
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         execute(session, "SELECT 1")
         execute(session, SCAN)
     assert _explained(statements) == ["EXPLAIN SELECT 1", f"EXPLAIN {SCAN}"]
@@ -421,7 +420,7 @@ def test_plain_and_stepless_sessions_run_no_explain(many_students, student_insta
 
 def test_small_instance_never_switches_to_program_keys(student_instance, monkeypatch):
     statements = record_statements(monkeypatch)
-    with _keyed(student_instance) as session:
+    with Session(student_instance) as session:
         for i in range(60):
             for template in (SCAN_AS, TOP_GRADES_AS):
                 execute(session, _aliased(template, i))
@@ -431,7 +430,7 @@ def test_small_instance_never_switches_to_program_keys(student_instance, monkeyp
 
 def test_one_long_scan_switches_to_program_keys(many_students, monkeypatch):
     statements = record_statements(monkeypatch)
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         # Scans of fewer than _KEYING_STEPS steps, however many, do not.
         for i in range(3):
             execute(session, _aliased(SHORT_SCAN_AS, i))
@@ -442,7 +441,7 @@ def test_one_long_scan_switches_to_program_keys(many_students, monkeypatch):
     assert _ran(statements) == [_aliased(SHORT_SCAN_AS, i) for i in range(3)] + [SCAN]
 
 
-# --- the spelling memo on sessions made by_program ----------------------------------
+# --- the spelling memo -------------------------------------------------------------
 
 # Respellings SQLite ignores: keyword and identifier case, layout, comments
 # and a trailing `;`.
@@ -457,10 +456,9 @@ RESPELLINGS = (
 @pytest.mark.parametrize("fixture", ["student_instance", "many_students"])
 def test_a_respelling_runs_no_statement_and_no_explain(request, fixture, monkeypatch):
     db = request.getfixturevalue(fixture)
-    with Session(db) as plain:
-        expected = execute(plain, RESPELLINGS[0])
+    expected = execute(db, RESPELLINGS[0])
     statements = record_statements(monkeypatch)
-    with _keyed(db) as session:
+    with Session(db) as session:
         execute(session, SCAN)  # keys by program on the large instance
         outcomes = [execute(session, sql) for sql in RESPELLINGS]
     assert _ran(statements) == [SCAN, RESPELLINGS[0]]
@@ -490,10 +488,9 @@ def _accented(column: str) -> DatabaseInstance:
 )
 def test_the_spelling_memo_keeps_other_statements_apart(db, pair, student_instance, monkeypatch):
     db = db or student_instance
-    with Session(db) as plain:
-        expected = [execute(plain, sql) for sql in pair]
+    expected = [execute(db, sql) for sql in pair]
     statements = record_statements(monkeypatch)
-    with _keyed(db) as session:
+    with Session(db) as session:
         assert [execute(session, sql) for sql in pair] == expected
     assert _ran(statements) == list(pair)
 
@@ -504,7 +501,7 @@ def test_the_order_flag_is_part_of_the_spelling_key(student_instance, monkeypatc
     monkeypatch.setattr(
         sqlrerank.executor, "has_top_level_order_by", lambda sql: sql.endswith("-- ordered")
     )
-    with _keyed(student_instance) as session:
+    with Session(student_instance) as session:
         unordered = execute(session, "SELECT name FROM student")
         ordered = execute(session, "SELECT name FROM student -- ordered")
     assert ordered.result.rows == unordered.result.rows
@@ -514,26 +511,26 @@ def test_the_order_flag_is_part_of_the_spelling_key(student_instance, monkeypatc
 def test_an_erring_respelling_keeps_its_own_message(student_instance, monkeypatch):
     pair = ("SELECT ghost FROM student", "select GHOST from student;")
     statements = record_statements(monkeypatch)
-    with _keyed(student_instance) as session:
+    with Session(student_instance) as session:
         messages = [execute(session, sql).message for sql in pair]
     assert messages == ["no such column: ghost", "no such column: GHOST"]
     assert _ran(statements) == list(pair)
 
 
-def test_shared_outcome_keeps_the_first_statements_labels(many_students):
+def test_shared_outcome_keeps_the_first_statements_labels(many_students, student_instance):
     first, second = (
         f"SELECT name AS {label} FROM student WHERE age > 25" for label in ("first", "second")
     )
-    with _keyed(many_students) as session:
+    with Session(many_students) as session:
         execute(session, SCAN)
         shared = execute(session, first)
         assert execute(session, second) is shared
     assert shared.result.columns == ("first",)
-    # Plain sessions, whose labels render answers, keep each statement's own.
-    with Session(many_students) as plain:
-        execute(plain, SCAN)
-        execute(plain, first)
-        assert execute(plain, second).result.columns == ("second",)
+    # A respelling shares them too, on a session that never keys by program.
+    with Session(student_instance) as session:
+        shared = execute(session, "SELECT max(age) FROM student")
+        assert execute(session, "SELECT MAX(age) FROM student") is shared
+    assert shared.result.columns == ("max(age)",)
 
 
 _LITERALS = (
@@ -563,14 +560,24 @@ spelled_sql = st.builds(
 )
 
 
+# One-shot outcomes by (fixture, SQL text), each from a session of its own.
+_ONE_SHOT: dict[tuple[str, str], ExecutionOutcome] = {}
+
+
+@pytest.mark.parametrize("fixture", ["student_instance", "many_students"])
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(st.lists(spelled_sql, min_size=1, max_size=8))
-def test_copy_session_outcomes_agree_with_plain_sessions(many_students, statements):
-    with _keyed(many_students) as session, Session(many_students) as plain:
+def test_copy_session_outcomes_agree_with_plain_sessions(request, fixture, statements):
+    """A session that memoizes by spelling (both instances) and by program
+    (the large one) agrees with a one-shot session per statement."""
+    db = request.getfixturevalue(fixture)
+    with Session(db) as session:
         for sql in statements:
-            got, want = execute(session, sql), execute(plain, sql)
+            if (fixture, sql) not in _ONE_SHOT:
+                _ONE_SHOT[fixture, sql] = execute(db, sql)
+            got, want = execute(session, sql), _ONE_SHOT[fixture, sql]
             assert (got.kind, got.message) == (want.kind, want.message)
             assert result_canonical_key(got) == result_canonical_key(want)
             if want.result is not None:

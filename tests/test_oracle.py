@@ -55,10 +55,10 @@ def test_request_id_sensitivity(student_instance, student_schema):
 
 def test_build_request(student_instance):
     r = req(student_instance)
-    assert r.question == "How many students are there?"
-    assert r.prompt.text.endswith("Answer:\n")
+    assert r.session.db is student_instance
+    assert r.prompt.text.endswith("Question: How many students are there?\n\nAnswer:\n")
     assert r.request_id == request_id_for(
-        student_instance, r.question, PromptConfig()
+        student_instance, "How many students are there?", PromptConfig()
     )
 
 

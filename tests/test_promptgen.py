@@ -228,8 +228,9 @@ def test_build_prompt_zero_shot(student_instance):
     assert "Database:\n" in p.text
     assert "Question: How many students?" in p.text
     assert p.text.endswith("Answer:\n")
-    assert p.shot_count == 0
-    assert p.rendered_format is DbFormat.CSV
+    # No worked example, and the database rendered as CSV.
+    assert p.text.count("Question: ") == 1
+    assert render_database(student_instance, DbFormat.CSV) in p.text
 
 
 def test_build_prompt_shots_come_from_pool_head(student_instance):
@@ -238,7 +239,7 @@ def test_build_prompt_shots_come_from_pool_head(student_instance):
     p = build_prompt(student_instance, "q", cfg)
     assert "What is the largest v?" in p.text
     assert "How many rows are there?" not in p.text
-    assert p.shot_count == 1
+    assert p.text.count("Question: ") == 2
 
 
 def test_build_prompt_shot_answers_rendered(student_instance):

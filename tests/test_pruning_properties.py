@@ -29,7 +29,7 @@ from sqlrerank.dbgen import (
 )
 from sqlrerank.errors import SqlRerankError
 from sqlrerank.executor import OutcomeKind, Session, execute, results_equal
-from sqlrerank.instance import foreign_key_violations
+from sqlrerank.instance import foreign_key_violations, instance_to_json
 from sqlrerank.schema import ColumnDef, ColumnType, ForeignKey, SchemaGraph, Table
 from sqlrerank.sqlanalysis import analyze_all
 
@@ -174,7 +174,7 @@ def test_the_sessions_reads_match_the_schema_only_reference(case):
     sqls = [
         sql, other, sql.replace("SELECT", "select") + ";", f"DELETE FROM {db.schema.tables[0].name}"
     ]
-    with Session(db, by_program=True) as session:
+    with Session(db) as session:
         outcomes = [execute(session, text) for text in sqls]
         assume(not outcomes[0].message.startswith("instance load failed"))
         assert analyze_all(session, sqls) == schema_only_analyze_all(sqls, db.schema)
@@ -191,21 +191,28 @@ def test_generated_instances_load_and_keep_their_keys(case, method, seed):
     """Either generator, onto the pruned schema and with constraining, as a
     suite generates (ROADMAP property 4(b)): the instance loads, satisfies
     its foreign keys, and holds constrained cells in range and off key
-    columns; or the generator refuses with a `SqlRerankError`. Sampling
-    needs an original that loads: its rows are the sample's."""
+    columns; or the generator refuses with a `SqlRerankError`. A second
+    call with the same config draws the same instance, before and after
+    constraining (property 4(d)). Sampling needs an original that loads:
+    its rows are the sample's."""
     db, sql, other = case
     config = GenConfig(mts=2, method=method, seed=seed)
     schema, targets = prune_schema(db, [sql, other])
     if method is GenMethod.RANDOM_SELECTION:
         assume(execute(db, "SELECT 1").kind is OutcomeKind.OK)
-    try:
+
+    def generate() -> list:
         if method is GenMethod.FUZZING:
-            generated = fuzz_database(schema, config)
+            drawn = fuzz_database(schema, config)
         else:
-            generated = sample_database(db, config, schema)
-        generated = constrain_numbers(generated, targets, config)
+            drawn = sample_database(db, config, schema)
+        return [drawn, constrain_numbers(drawn, targets, config)]
+
+    try:
+        drawn, generated = generate()
     except SqlRerankError:
         return
+    assert list(map(instance_to_json, generate())) == list(map(instance_to_json, (drawn, generated)))
     outcome = execute(generated, "SELECT 1")
     assert outcome.kind is OutcomeKind.OK, outcome.message
     assert foreign_key_violations(generated) == []

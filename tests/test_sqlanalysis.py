@@ -368,7 +368,7 @@ def test_analyze_all_compiles_only_texts_without_a_record(student_instance, monk
     ran = ["SELECT name FROM student ORDER BY age", "SELECT ghost FROM student"]
     others = ["select NAME from STUDENT order by AGE;", "SELECT max(grade) FROM enrollment"]
     statements = record_statements(monkeypatch)
-    with Session(student_instance, by_program=True) as session:
+    with Session(student_instance) as session:
         for sql in ran:
             execute(session, sql)
         before = len(statements)

@@ -32,6 +32,8 @@ from sqlrerank.suite import (
     suite_to_json,
 )
 
+from conftest import ROWID_CHILD_CANDIDATES, rowid_child_of_real_key
+
 
 def cand(sql, probability=None, rank=None, _counter=[0]):
     if rank is None:
@@ -61,7 +63,7 @@ class RecordingOracle:
         self.request_dbs = []
 
     def predict(self, request):
-        self.request_dbs.append(request.db)
+        self.request_dbs.append(request.session.db)
         if len(self.request_dbs) <= self.fail_first or self.inner is None:
             return OraclePrediction.unavailable("forced")
         return self.inner.predict(request)
@@ -289,6 +291,22 @@ def test_generate_suite_unavailable_oracle(student_instance):
     assert not suite.distinguished
     assert suite.attempts == 4
     assert suite.dropped_unavailable == len(oracle.request_dbs)
+
+
+def test_a_draw_with_no_valid_database_is_dropped_and_not_asked():
+    """Each draw's MalformedDatabase is counted, asks no oracle and ends
+    neither the suite nor the re-rank."""
+    db = rowid_child_of_real_key()
+    candidates = [cand(sql, rank=i) for i, sql in enumerate(ROWID_CHILD_CANDIDATES)]
+    oracle = RecordingOracle(ReferenceOracle(candidates[0].sql))
+    with Session(db) as session:
+        _, reps = classify_candidates(session, candidates)
+        outcome = select_best(session, "q", candidates, reps, fuzz_suite_cfg(), oracle)
+    suite = outcome.suite
+    assert suite.attempts == suite.dropped_malformed == 10 and oracle.request_dbs == []
+    assert outcome.ranked == tuple(candidates)
+    assert suite_from_json(suite_to_json(suite)) == suite
+    assert suite_from_json({"cases": []}).dropped_malformed == 0
 
 
 def test_generate_suite_deterministic(student_instance):
