@@ -39,14 +39,14 @@ def parse_candidate_records(records, where: str) -> tuple[Candidate, ...]:
         if "rank" not in record:
             raise ManifestError(f"{where}: candidate {i} is missing rank")
         rank = record["rank"]
-        if not isinstance(rank, int) or rank < 0:
+        if type(rank) is not int or rank < 0:  # a JSON integer, not a bool
             raise ManifestError(f"{where}: candidate {i} has invalid rank {rank!r}")
         if rank in seen_ranks:
             raise ManifestError(f"{where}: duplicate rank {rank}")
         seen_ranks.add(rank)
         probability = record.get("probability")
         if probability is not None:
-            if not isinstance(probability, (int, float)) or not 0.0 <= probability <= 1.0:
+            if type(probability) not in (int, float) or not 0.0 <= probability <= 1.0:
                 raise ManifestError(
                     f"{where}: candidate {i} probability {probability!r} outside [0, 1]"
                 )
@@ -62,7 +62,7 @@ def load_candidates_file(path: str) -> tuple[Candidate, ...]:
     try:
         with open(path, encoding="utf-8") as handle:
             records = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ManifestError(f"cannot load candidates file {path}: {exc}") from exc
     return parse_candidate_records(records, where=path)
 
@@ -78,9 +78,9 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ManifestError(f"cannot load manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict) or "entries" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
         raise ManifestError(f"{manifest_path}: manifest must have an 'entries' list")
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries: list[CorpusEntry] = []
@@ -92,6 +92,14 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
         for key in ("entry_id", "db_id", "db_file", "question"):
             if key not in raw:
                 raise ManifestError(f"{where}: missing {key}")
+        for key in ("db_file", "candidates_file", "gold_sql"):
+            value = raw.get(key, "")
+            # A null gold_sql means none, as an absent one does.
+            if not isinstance(value, str) and not (key == "gold_sql" and value is None):
+                raise ManifestError(f"{where}: {key} must be a string")
+        tags = raw.get("tags", [])
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ManifestError(f"{where}: tags must be a list of strings")
         entry_id = str(raw["entry_id"])
         if entry_id in seen_ids:
             raise ManifestError(f"{where}: duplicate entry_id {entry_id!r}")
@@ -106,8 +114,10 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
         else:
             raise ManifestError(f"{where}: needs candidates or candidates_file")
         overrides = raw.get("type_overrides", {})
-        if not isinstance(overrides, dict):
-            raise ManifestError(f"{where}: type_overrides must be an object")
+        if not isinstance(overrides, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in overrides.items()
+        ):
+            raise ManifestError(f"{where}: type_overrides must map strings to strings")
         entries.append(
             CorpusEntry(
                 entry_id=entry_id,
@@ -116,7 +126,7 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
                 question=str(raw["question"]),
                 candidates=candidates,
                 gold_sql=raw.get("gold_sql"),
-                tags=tuple(raw.get("tags", ())),
+                tags=tuple(tags),
                 type_overrides=dict(overrides),
             )
         )

@@ -36,6 +36,10 @@ from .sqlanalysis import SqlAnalysis, analyze_all, joins_by_column_name
 log = logging.getLogger(__name__)
 
 
+# The range that constrain_numbers draws each constrained cell from.
+CONSTRAINED_RANGE = (1, 10)
+
+
 class GenMethod(Enum):
     FUZZING = "fuzzing"
     RANDOM_SELECTION = "random-selection"
@@ -46,14 +50,10 @@ class GenConfig:
     mts: int = 5
     method: GenMethod = GenMethod.RANDOM_SELECTION
     seed: int = 0
-    constrained_range: tuple[int, int] = (1, 10)
 
     def __post_init__(self) -> None:
         if self.mts < 1:
             raise ValueError("mts must be at least 1")
-        lo, hi = self.constrained_range
-        if lo > hi:
-            raise ValueError("constrained_range is empty")
 
 
 _TEXT_ALPHABET = string.ascii_lowercase
@@ -285,7 +285,8 @@ def constrain_numbers(
     target_columns: set[tuple[str, str]],
     config: GenConfig,
 ) -> DatabaseInstance:
-    """Replace every cell of each target column with a small random integer."""
+    """Replace every cell of each target column with a random integer in
+    CONSTRAINED_RANGE."""
     schema = db.schema
     for tname, cname in sorted(target_columns):
         if not schema.has_table(tname):
@@ -301,7 +302,7 @@ def constrain_numbers(
         return db
 
     rng = random.Random(config.seed)
-    lo, hi = config.constrained_range
+    lo, hi = CONSTRAINED_RANGE
     tables = dict(db.tables)
     by_table: dict[str, list[str]] = {}
     for tname, cname in sorted(target_columns, key=lambda tc: (tc[0].lower(), tc[1].lower())):

@@ -7,7 +7,7 @@ import sqlite3
 
 from .errors import FileUnreadable, MalformedDatabase
 from .instance import DatabaseInstance, TableData
-from .schema import SchemaGraph, Table, introspect_schema, quote_ident, schema_from_connection
+from .schema import SchemaGraph, Table, introspect_schema, quote_ident
 
 
 def sql_literal(value) -> str:
@@ -105,11 +105,6 @@ def read_database(db_path: str) -> DatabaseInstance:
         return _read_rows(schema, conn)
     finally:
         conn.close()
-
-
-def read_database_from_connection(conn: sqlite3.Connection) -> DatabaseInstance:
-    schema = schema_from_connection(conn)
-    return _read_rows(schema, conn)
 
 
 def _read_rows(schema: SchemaGraph, conn: sqlite3.Connection) -> DatabaseInstance:

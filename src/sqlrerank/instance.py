@@ -79,34 +79,6 @@ def column_index(data: TableData, column: str) -> int:
     raise KeyError(f"no column {column!r} in table {data.table_name!r}")
 
 
-def foreign_key_violations(instance: DatabaseInstance) -> list[tuple[ForeignKey, Cell]]:
-    """Every (fk, value) pair where a non-NULL child value is absent from the parent."""
-    violations: list[tuple[ForeignKey, Cell]] = []
-    for fk in instance.schema.foreign_keys:
-        child = instance.data_for(fk.child_table)
-        parent = instance.data_for(fk.parent_table)
-        ci = column_index(child, fk.child_column)
-        pi = column_index(parent, fk.parent_column)
-        parent_values = {row[pi] for row in parent.rows}
-        for row in child.rows:
-            value = row[ci]
-            if value is not None and value not in parent_values:
-                violations.append((fk, value))
-    return violations
-
-
-def validate_foreign_keys(instance: DatabaseInstance) -> None:
-    """Raise MalformedDatabase if any foreign key is violated."""
-    violations = foreign_key_violations(instance)
-    if violations:
-        fk, value = violations[0]
-        raise MalformedDatabase(
-            f"{len(violations)} foreign key violation(s); first:"
-            f" {fk.child_table}.{fk.child_column}={value!r}"
-            f" not in {fk.parent_table}.{fk.parent_column}"
-        )
-
-
 def instance_to_json(instance: DatabaseInstance) -> dict[str, Any]:
     """Plain-dict form of an instance, stable under json.dumps(sort_keys=True)."""
     return {

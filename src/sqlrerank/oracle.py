@@ -24,6 +24,12 @@ from .instance import DatabaseInstance, instance_to_json
 from .promptgen import Prompt, PromptConfig, build_prompt, parse_answer, render_answer
 
 API_KEY_ENV = "SQLRERANK_API_KEY"
+# RemoteOracle's request settings: a deterministic reply, up to RETRIES more
+# attempts after the first, sleeping BACKOFF_S, then twice that, and so on.
+TEMPERATURE = 0.0
+RETRIES = 2
+BACKOFF_S = 1.0
+TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -187,21 +193,11 @@ class RemoteOracle:
         self,
         base_url: str,
         model: str,
-        temperature: float = 0.0,
-        retries: int = 2,
-        backoff: float = 1.0,
-        timeout: float = 60.0,
-        api_key_env: str = API_KEY_ENV,
         session: "requests.Session | None" = None,
         sleep=time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.temperature = temperature
-        self.retries = retries
-        self.backoff = backoff
-        self.timeout = timeout
-        self.api_key_env = api_key_env
         if session is None:
             import requests  # here, not at module load: only this backend needs it
 
@@ -213,31 +209,31 @@ class RemoteOracle:
         import requests
 
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt.text}],
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
         }
         last_exc: Exception | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             if attempt:
-                self._sleep(self.backoff * (2 ** (attempt - 1)))
+                self._sleep(BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 response = self.session.post(
                     f"{self.base_url}/chat/completions",
                     headers=headers,
                     json=body,
-                    timeout=self.timeout,
+                    timeout=TIMEOUT_S,
                 )
                 response.raise_for_status()
                 data = response.json()
                 return data["choices"][0]["message"]["content"]
             except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                 last_exc = exc
-        raise ConnectionError(f"remote oracle failed after {self.retries + 1} attempts: {last_exc}")
+        raise ConnectionError(f"remote oracle failed after {RETRIES + 1} attempts: {last_exc}")
 
     def predict(self, request: OracleRequest) -> OraclePrediction:
         try:

@@ -207,7 +207,7 @@ def load_example_pool(path: str) -> tuple[tuple[DatabaseInstance, str, Execution
     try:
         with open(path, encoding="utf-8") as handle:
             records = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ManifestError(f"cannot load example pool {path}: {exc}") from exc
     if not isinstance(records, list):
         raise ManifestError(f"example pool {path} must be a JSON list")
@@ -216,6 +216,8 @@ def load_example_pool(path: str) -> tuple[tuple[DatabaseInstance, str, Execution
     for i, record in enumerate(records):
         try:
             question = record["question"]
+            if not isinstance(question, str):
+                raise TypeError("question must be a string")
             result = result_from_json(record["result"])
             if "db" in record:
                 db = instance_from_json(record["db"])

@@ -137,9 +137,6 @@ class SchemaGraph:
     def has_table(self, name: str) -> bool:
         return self._find_table(name) is not None
 
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(table.name for table in self.tables)
-
     def foreign_keys_from(self, child_table: str) -> tuple[ForeignKey, ...]:
         key = child_table.lower()
         return tuple(fk for fk in self.foreign_keys if fk.child_table.lower() == key)

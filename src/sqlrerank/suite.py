@@ -107,9 +107,13 @@ class RerankOutcome:
     suite: TestSuite
     skipped_all_same: bool = False
 
-    @property
-    def oracle_unavailable_count(self) -> int:
-        return self.suite.dropped_unavailable
+
+def _preference(candidate: Candidate) -> tuple:
+    """The order among candidates that nothing else tells apart: higher
+    probability first, an absent probability after any, then the lower
+    source_rank."""
+    p = candidate.probability
+    return (p is None, -(p or 0.0), candidate.source_rank)
 
 
 def _validate_candidates(candidates: list[Candidate]) -> None:
@@ -128,9 +132,7 @@ def classify_candidates(
     A class's outcomes share one `result_canonical_key`, so its members get
     one verdict against any expected result. Returns (classes,
     representatives): classes are candidate-index lists in first-appearance
-    order; each class's representative is its member with the highest
-    probability (absent probability loses to any), ties broken by the lowest
-    source_rank.
+    order; each class's representative is its first member by `_preference`.
     """
     _validate_candidates(candidates)
     by_key: dict[tuple | OutcomeKind, list[int]] = {}
@@ -138,12 +140,9 @@ def classify_candidates(
         key = result_canonical_key(execute(session, candidate.sql))
         by_key.setdefault(key, []).append(i)
     classes = list(by_key.values())
-
-    def _rep_sort_key(i: int):
-        p = candidates[i].probability
-        return (-(p if p is not None else -1.0), candidates[i].source_rank)
-
-    representatives = [candidates[min(members, key=_rep_sort_key)] for members in classes]
+    representatives = [
+        min((candidates[i] for i in members), key=_preference) for members in classes
+    ]
     return classes, representatives
 
 
@@ -266,10 +265,6 @@ def generate_suite(
     )
 
 
-def pass_count(candidate: Candidate, suite: TestSuite, relaxed: bool = True) -> int:
-    return _pass_counts([candidate], suite, relaxed)[candidate.source_rank]
-
-
 def _pass_counts(
     candidates: list[Candidate], suite: TestSuite, relaxed: bool
 ) -> dict[int, int]:
@@ -291,23 +286,17 @@ def _passes(outcome: ExecutionOutcome, case: TestCase, relaxed: bool) -> bool:
 
 
 def rerank(candidates: list[Candidate], suite: TestSuite, relaxed: bool = True) -> RerankOutcome:
-    """Order candidates by pass count, then probability, then original rank.
+    """Order candidates by pass count, then by `_preference`.
 
     An empty suite leaves the input order untouched.
     """
     _validate_candidates(candidates)
     counts = _pass_counts(candidates, suite, relaxed)
-
-    def _sort_key(c: Candidate):
-        has_probability = c.probability is not None
-        return (
-            -counts[c.source_rank],
-            0 if has_probability else 1,
-            -(c.probability if has_probability else 0.0),
-            c.source_rank,
-        )
-
-    ranked = tuple(sorted(candidates, key=_sort_key)) if suite.cases else tuple(candidates)
+    ranked = (
+        tuple(sorted(candidates, key=lambda c: (-counts[c.source_rank], _preference(c))))
+        if suite.cases
+        else tuple(candidates)
+    )
     scores = tuple(CandidateScore(c, counts[c.source_rank]) for c in ranked)
     return RerankOutcome(ranked=ranked, scores=scores, suite=suite)
 
@@ -391,7 +380,7 @@ def outcome_to_json(outcome: RerankOutcome) -> dict[str, Any]:
         ],
         "suite": suite_to_json(outcome.suite),
         "skipped_all_same": outcome.skipped_all_same,
-        "oracle_unavailable_count": outcome.oracle_unavailable_count,
+        "oracle_unavailable_count": outcome.suite.dropped_unavailable,
     }
 
 

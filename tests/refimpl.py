@@ -1,8 +1,9 @@
-"""Brute-force references, written straight from the definitions.
+"""Brute-force references, written straight from the definitions, and the
+tests' readers and checkers of instances.
 
-These avoid the production code paths on purpose: cells are canonicalized
-here from the definition, and there are no early exits beyond the
-definition itself. The analysis reference compiles each statement on a
+The references avoid the production code paths on purpose: cells are
+canonicalized here from the definition, and there are no early exits beyond
+the definition itself. The analysis reference compiles each statement on a
 connection of its own that holds only the schema, and the projection
 reference copies every row of every kept table cell by cell.
 """
@@ -11,9 +12,10 @@ import sqlite3
 from collections import Counter
 from itertools import permutations
 
-from sqlrerank.dbio import create_table_sql
+from sqlrerank.dbio import _read_rows, create_table_sql
 from sqlrerank.errors import SqlParseError
-from sqlrerank.instance import DatabaseInstance, TableData
+from sqlrerank.instance import DatabaseInstance, TableData, column_index
+from sqlrerank.schema import schema_from_connection
 from sqlrerank.sqlanalysis import READ_ACTIONS, SqlAnalysis, _match, _read
 
 
@@ -168,3 +170,28 @@ def project(db, schema):
         rows = tuple(tuple(row[i] for i in idxs) for row in source.rows)
         tables[table.name] = TableData(table.name, table.column_names(), rows)
     return DatabaseInstance(schema=schema, tables=tables)
+
+
+# --- instances -----------------------------------------------------------------
+
+
+def foreign_key_violations(instance):
+    """Every (fk, value) pair where a non-NULL child value is absent from the parent."""
+    violations = []
+    for fk in instance.schema.foreign_keys:
+        child = instance.data_for(fk.child_table)
+        parent = instance.data_for(fk.parent_table)
+        ci = column_index(child, fk.child_column)
+        pi = column_index(parent, fk.parent_column)
+        parent_values = {row[pi] for row in parent.rows}
+        for row in child.rows:
+            value = row[ci]
+            if value is not None and value not in parent_values:
+                violations.append((fk, value))
+    return violations
+
+
+def read_database_from_connection(conn):
+    """The instance an open connection holds, read as `dbio.read_database`
+    reads a file."""
+    return _read_rows(schema_from_connection(conn), conn)

@@ -25,14 +25,14 @@ from pathlib import Path
 import pytest
 
 from conftest import col, make_instance, record_acceptance
-from refimpl import RelaxedReference
+from refimpl import RelaxedReference, read_database_from_connection
 from test_promptgen import _golden_db, _golden_pool
 
 import sqlrerank
 from sqlrerank.cli import main
 from sqlrerank.corpus import CorpusEntry
 from sqlrerank.dbgen import GenConfig, GenMethod, generate_database
-from sqlrerank.dbio import read_database, read_database_from_connection, write_database
+from sqlrerank.dbio import read_database, write_database
 from sqlrerank.evaluate import entry_seed, evaluate_corpus
 from sqlrerank.executor import (
     ExecutionResult,

@@ -532,6 +532,71 @@ def test_eval_workers_config(workdir, capsys):
     assert "EX before=0.000 after=0.500" in plain
 
 
+NOT_UTF8 = b'{"entries": ["\xff"]}'
+ABSENT = object()
+
+
+def _entry(**changes):
+    entry = {
+        "entry_id": "e",
+        "db_id": "students",
+        "db_file": "s.db",
+        "question": "lowest age?",
+        "candidates": [{"sql": WRONG_MAX, "rank": 0}, {"sql": GOLD_MIN, "rank": 1}],
+        "gold_sql": GOLD_MIN,
+    }
+    entry.update(changes)
+    return {"entries": [{k: v for k, v in entry.items() if v is not ABSENT}]}
+
+
+@pytest.mark.parametrize(
+    "manifest, extra, named",
+    [
+        ({"entries": 5}, {}, "'entries' list"),
+        (_entry(db_file=5), {}, "db_file must be a string"),
+        (_entry(db_file=None), {}, "db_file must be a string"),
+        (_entry(candidates=ABSENT, candidates_file=5), {}, "candidates_file must be a string"),
+        (_entry(tags=5), {}, "tags must be a list of strings"),
+        (_entry(tags=["ok", 5]), {}, "tags must be a list of strings"),
+        (_entry(gold_sql=5), {}, "gold_sql must be a string"),
+        (_entry(type_overrides={"student.age": 5}), {}, "type_overrides"),
+        (
+            _entry(candidates=[{"sql": WRONG_MAX, "rank": 0}, {"sql": GOLD_MIN, "rank": True}]),
+            {},
+            "invalid rank True",
+        ),
+        (
+            _entry(candidates=[{"sql": WRONG_MAX, "rank": 0, "probability": True}]),
+            {},
+            "probability True",
+        ),
+        (NOT_UTF8, {}, "cannot load manifest"),
+        (
+            _entry(candidates=ABSENT, candidates_file="c.json"),
+            {"c.json": NOT_UTF8},
+            "candidates file",
+        ),
+        (_entry(), {"pool.json": NOT_UTF8}, "example pool"),
+    ],
+    ids=[
+        "entries-int", "db-file-int", "db-file-null", "candidates-file-int", "tags-int", "tags-holds-int",
+        "gold-sql-int", "override-label-int", "rank-bool", "probability-bool",
+        "manifest-not-utf8", "candidates-file-not-utf8", "example-pool-not-utf8",
+    ],
+)
+def test_eval_malformed_corpus_is_an_error(workdir, capsys, manifest, extra, named):
+    """Each malformed input ends in one `error:` line and exit 1, not a
+    traceback, and a bool is no rank or probability."""
+    path = workdir / "manifest.json"
+    path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
+    for name, data in extra.items():
+        (workdir / name).write_bytes(data)
+    examples = ("--examples", workdir / "pool.json") if "pool.json" in extra else ()
+    assert run_cli("eval", "--corpus", path, "--oracle", "reference", *examples) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+
+
 def test_eval_reads_the_reply_cache_once(workdir, monkeypatch):
     import sqlrerank.cli
 

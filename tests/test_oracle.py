@@ -305,24 +305,22 @@ def test_remote_oracle_retries_with_backoff(student_instance, monkeypatch):
             FakeResponse(reply_payload("n\n1")),
         ]
     )
-    oracle = RemoteOracle(
-        "http://fake", "m", retries=2, backoff=0.5, session=session, sleep=slept.append
-    )
+    oracle = RemoteOracle("http://fake", "m", session=session, sleep=slept.append)
     p = oracle.predict(req(student_instance))
     assert p.is_available
     assert len(session.calls) == 3
-    assert slept == [0.5, 1.0]
+    assert slept == [1.0, 2.0]
 
 
 def test_remote_oracle_gives_up(student_instance, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     session = FakeSession([requests.ConnectionError("down")] * 3)
-    oracle = RemoteOracle("http://fake", "m", retries=2, session=session, sleep=lambda s: None)
+    oracle = RemoteOracle("http://fake", "m", session=session, sleep=lambda s: None)
     p = oracle.predict(req(student_instance))
     assert p.unavailable_reason == "transport"
     assert len(session.calls) == 3
     session2 = FakeSession([requests.ConnectionError("down")] * 3)
-    oracle2 = RemoteOracle("http://fake", "m", retries=2, session=session2, sleep=lambda s: None)
+    oracle2 = RemoteOracle("http://fake", "m", session=session2, sleep=lambda s: None)
     with pytest.raises(ConnectionError):
         oracle2.raw_reply(req(student_instance))
 
@@ -337,7 +335,7 @@ def test_remote_oracle_unparsable_reply(student_instance, monkeypatch):
 def test_remote_oracle_malformed_payload(student_instance, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     session = FakeSession([FakeResponse({"choices": []})] * 3)
-    oracle = RemoteOracle("http://fake", "m", retries=2, session=session, sleep=lambda s: None)
+    oracle = RemoteOracle("http://fake", "m", session=session, sleep=lambda s: None)
     assert oracle.predict(req(student_instance)).unavailable_reason == "transport"
 
 

@@ -4,6 +4,8 @@ the original (ROADMAP property 4(a)). And the analysis that prunes, drawn
 from the reads the original's session records while it runs the
 candidates, equals the schema-only reference in `refimpl`. And every
 instance either generator makes loads and keeps its keys (property 4(b)).
+And candidates in one behavior class get one verdict against any expected
+result (property 4(c)).
 
 The schemas have one to three tables whose columns come from a small shared
 name pool, so NATURAL and USING joins find shared columns. Columns are
@@ -18,23 +20,31 @@ the key index that a plan on the original scans in.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqlrerank import dbgen
 from sqlrerank.dbgen import (
-    GenConfig, GenMethod, constrain_numbers, fuzz_database, prune_schema, sample_database,
+    CONSTRAINED_RANGE,
+    GenConfig,
+    GenMethod,
+    constrain_numbers,
+    fuzz_database,
+    prune_schema,
+    sample_database,
 )
 from sqlrerank.errors import SqlRerankError
 from sqlrerank.executor import OutcomeKind, Session, execute, results_equal
-from sqlrerank.instance import foreign_key_violations, instance_to_json
+from sqlrerank.instance import instance_to_json
 from sqlrerank.schema import ColumnDef, ColumnType, ForeignKey, SchemaGraph, Table
 from sqlrerank.sqlanalysis import analyze_all
+from sqlrerank.suite import Candidate, TestCase, TestSuite, classify_candidates, rerank
 
 from conftest import make_instance
-from refimpl import project, schema_only_analyze_all
+from refimpl import foreign_key_violations, project, schema_only_analyze_all
 
 NAMES = ("id", "a", "b", "name")
 VALUES = {
@@ -216,10 +226,63 @@ def test_generated_instances_load_and_keep_their_keys(case, method, seed):
     outcome = execute(generated, "SELECT 1")
     assert outcome.kind is OutcomeKind.OK, outcome.message
     assert foreign_key_violations(generated) == []
-    lo, hi = config.constrained_range
+    lo, hi = CONSTRAINED_RANGE
     for tname, cname in targets:
         column = schema.table(tname).column(cname)
         assert not column.is_primary_key and not schema.is_foreign_key_endpoint(tname, cname)
         data = generated.data_for(tname)
         i = data.columns.index(column.name)
         assert all(lo <= row[i] <= hi for row in data.rows)
+
+
+# Two candidates with the same rows, one ordered and one not, and an expected
+# result holding those rows in another order: one verdict per class needs the
+# order flag in the key. Random draws rarely reach this.
+DESCENDING = make_instance(
+    SchemaGraph((Table("t0", (ColumnDef("a", ColumnType.INTEGER, "int"),)),)),
+    {"t0": [(3,), (1,)]},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    (
+        DESCENDING,
+        [
+            "SELECT a FROM t0 ORDER BY a DESC LIMIT 2",
+            "SELECT a FROM t0",
+            "SELECT a, a FROM t0",
+            "SELECT count(*) FROM t0",
+            "SELECT a FROM t0 ORDER BY a",
+        ],
+    )
+)
+@given(
+    databases().flatmap(
+        lambda db: st.tuples(
+            st.just(db), st.lists(reading_sql(db.schema), min_size=5, max_size=5)
+        )
+    )
+)
+def test_classification_agrees_with_pass_checking(case):
+    """ROADMAP property 4(c): candidates that `classify_candidates` puts in
+    one class get the same verdict against any expected result. The
+    expected result is a further reading statement's, in its ordered and
+    its unordered form, under exact and relaxed comparison; a verdict is the
+    candidate's pass count on a one-case suite on the same database."""
+    db, (*sqls, expected_sql) = case
+    with Session(db) as session:
+        expected = execute(session, expected_sql)
+        assume(expected.kind is OutcomeKind.OK)
+        candidates = [Candidate(sql, source_rank=i) for i, sql in enumerate(sqls)]
+        classes, _representatives = classify_candidates(session, candidates)
+        for ordered in (False, True):
+            result = replace(expected.result, order_significant=ordered)
+            suite = TestSuite(cases=(TestCase(db, result, session=session),))
+            for relaxed in (False, True):
+                verdicts = {
+                    s.candidate.source_rank: s.pass_count
+                    for s in rerank(candidates, suite, relaxed).scores
+                }
+                for members in classes:
+                    assert len({verdicts[i] for i in members}) == 1, (members, verdicts)

@@ -121,7 +121,7 @@ def test_introspect_student_fk(tmp_path):
         """,
     )
     schema = introspect_schema(path)
-    assert schema.table_names() == ("table_b", "table_a")
+    assert tuple(t.name for t in schema.tables) == ("table_b", "table_a")
     assert len(schema.foreign_keys) == 1
     fk = schema.foreign_keys[0]
     assert (fk.child_table, fk.child_column) == ("table_a", "student_id")
@@ -255,6 +255,6 @@ def acyclic_schemas(draw):
 @given(acyclic_schemas())
 def test_topo_property(schema):
     order = topo_order_parents_first(schema)
-    assert sorted(order) == sorted(schema.table_names())
+    assert sorted(order) == sorted(t.name for t in schema.tables)
     assert _parents_first_ok(order, schema)
     assert reverse_topo_order(schema) == tuple(reversed(order))

@@ -12,7 +12,6 @@ from sqlrerank.executor import (
     result_canonical_key,
     results_equal,
 )
-from sqlrerank.instance import foreign_key_violations
 from sqlrerank.oracle import OraclePrediction, ReferenceOracle
 from sqlrerank.suite import (
     Candidate,
@@ -25,7 +24,6 @@ from sqlrerank.suite import (
     dump_json,
     generate_suite,
     outcome_to_json,
-    pass_count,
     rerank,
     select_best,
     suite_from_json,
@@ -33,6 +31,7 @@ from sqlrerank.suite import (
 )
 
 from conftest import ROWID_CHILD_CANDIDATES, rowid_child_of_real_key
+from refimpl import foreign_key_violations
 
 
 def cand(sql, probability=None, rank=None, _counter=[0]):
@@ -249,7 +248,7 @@ def test_generate_suite_dbs_are_fk_valid_and_pruned(chain_instance):
         for case in suite.cases:
             assert foreign_key_violations(case.db) == []
             # grandchild is referenced by no candidate, so pruning removed it.
-            assert case.db.schema.table_names() == ("child",)
+            assert tuple(t.name for t in case.db.schema.tables) == ("child",)
 
 
 def test_generate_suite_constrains_sort_columns(student_instance):
@@ -392,6 +391,10 @@ def _handmade_suite(student_instance):
     )
 
 
+def pass_count(candidate, suite, relaxed=True):
+    return rerank([candidate], suite, relaxed).scores[0].pass_count
+
+
 def test_pass_count(student_instance):
     suite = _handmade_suite(student_instance)
     assert pass_count(Candidate(GOLD_MIN, source_rank=0), suite) == 1
@@ -448,7 +451,7 @@ def test_rerank_empty_suite_keeps_order(student_instance):
     outcome = rerank(candidates, TestSuite(dropped_unavailable=3))
     assert outcome.ranked == tuple(candidates)
     assert all(s.pass_count == 0 for s in outcome.scores)
-    assert outcome.oracle_unavailable_count == 3
+    assert outcome.suite.dropped_unavailable == 3
 
 
 def test_rerank_is_stable_for_equal_keys(student_instance):
@@ -547,7 +550,7 @@ def test_select_best_unavailable_oracle_keeps_order(student_instance):
     _, reps = classify_candidates(session, candidates)
     outcome = select_best(session, "q", candidates, reps, cfg, RecordingOracle())
     assert outcome.ranked == tuple(candidates)
-    assert outcome.oracle_unavailable_count == 4
+    assert outcome.suite.dropped_unavailable == 4
     assert not outcome.skipped_all_same
 
 
