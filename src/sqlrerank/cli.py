@@ -8,7 +8,7 @@ import sys
 from typing import Callable
 
 from .corpus import CorpusEntry, load_candidates_file, load_corpus
-from .dbgen import GenConfig, GenMethod, generate_database
+from .dbgen import GenConfig, GenMethod
 from .dbio import read_database, write_database
 from .errors import SqlRerankError
 from .evaluate import GATES, dump_report, evaluate_corpus, render_report_table
@@ -20,6 +20,7 @@ from .suite import (
     TestSuite,
     classify_candidates,
     dump_json,
+    generate_database,
     generate_suite,
     outcome_to_json,
     rerank,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ManifestError
 from .instance import DatabaseInstance
-from .schema import SchemaGraph, Table, classify_declared_type
+from .schema import SchemaGraph, Table, classify_declared_type, fold
 from .suite import Candidate
 
 
@@ -92,7 +92,7 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
         for key in ("entry_id", "db_id", "db_file", "question"):
             if key not in raw:
                 raise ManifestError(f"{where}: missing {key}")
-        for key in ("db_file", "candidates_file", "gold_sql"):
+        for key in ("entry_id", "db_id", "db_file", "question", "candidates_file", "gold_sql"):
             value = raw.get(key, "")
             # A null gold_sql means none, as an absent one does.
             if not isinstance(value, str) and not (key == "gold_sql" and value is None):
@@ -100,7 +100,7 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
         tags = raw.get("tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise ManifestError(f"{where}: tags must be a list of strings")
-        entry_id = str(raw["entry_id"])
+        entry_id = raw["entry_id"]
         if entry_id in seen_ids:
             raise ManifestError(f"{where}: duplicate entry_id {entry_id!r}")
         seen_ids.add(entry_id)
@@ -121,9 +121,9 @@ def load_corpus(manifest_path: str) -> list[CorpusEntry]:
         entries.append(
             CorpusEntry(
                 entry_id=entry_id,
-                db_id=str(raw["db_id"]),
+                db_id=raw["db_id"],
                 db_file=db_file,
-                question=str(raw["question"]),
+                question=raw["question"],
                 candidates=candidates,
                 gold_sql=raw.get("gold_sql"),
                 tags=tuple(tags),
@@ -142,12 +142,12 @@ def apply_type_overrides(db: DatabaseInstance, overrides: dict) -> DatabaseInsta
         tname, _, cname = key.partition(".")
         if not cname:
             raise ManifestError(f"type override key {key!r} is not table.column")
-        wanted[(tname.lower(), cname.lower())] = label
+        wanted[(fold(tname), fold(cname))] = label
     new_tables = []
     for table in db.schema.tables:
         cols = []
         for col in table.columns:
-            label = wanted.pop((table.name.lower(), col.name.lower()), None)
+            label = wanted.pop((fold(table.name), fold(col.name)), None)
             if label is None:
                 cols.append(col)
             else:

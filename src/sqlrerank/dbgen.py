@@ -20,13 +20,14 @@ from operator import itemgetter
 
 from .errors import CyclicForeignKeys, MalformedDatabase, TargetIsForeignKey, UnknownColumn
 from .executor import Session
-from .instance import Cell, DatabaseInstance, TableData, column_index
+from .instance import Cell, DatabaseInstance, TableData
 from .schema import (
     ColumnDef,
     ColumnType,
     ForeignKey,
     SchemaGraph,
     Table,
+    fold,
     order_parents_first,
     reverse_topo_order,
     topo_order_parents_first,
@@ -99,11 +100,11 @@ def _fuzz_fk_column(
     """Values from the parents' pools. A table's only key column takes
     distinct ones, and integers if it is the rowid (declared exactly
     INTEGER), which stores a whole float as its int."""
-    pool = list(pools[(fks[0].parent_table.lower(), fks[0].parent_column.lower())])
+    pool = list(pools[(fks[0].parent_table, fks[0].parent_column)])
     for fk in fks[1:]:
-        allowed = set(pools[(fk.parent_table.lower(), fk.parent_column.lower())])
+        allowed = set(pools[(fk.parent_table, fk.parent_column)])
         pool = [v for v in pool if v in allowed]
-    if sole_key and col.raw_type.upper() == "INTEGER":
+    if sole_key and fold(col.raw_type) == "integer":
         pool = [
             int(v) for v in pool
             if isinstance(v, int) or isinstance(v, float) and v.is_integer()
@@ -128,10 +129,9 @@ def _table_column_order(table: Table, self_fks: list[ForeignKey]) -> list[Column
     """Columns ordered so self-FK parent columns precede their child columns."""
     if not self_fks:
         return list(table.columns)
-    by_name = {c.name.lower(): c for c in table.columns}
+    by_name = {c.name: c for c in table.columns}
     order, cyclic = order_parents_first(
-        list(by_name),
-        [(fk.parent_column.lower(), fk.child_column.lower()) for fk in self_fks],
+        list(by_name), [(fk.parent_column, fk.child_column) for fk in self_fks]
     )
     if cyclic:
         raise CyclicForeignKeys(
@@ -154,33 +154,30 @@ def fuzz_database(schema: SchemaGraph, config: GenConfig) -> DatabaseInstance:
         fks_by_col: dict[str, list[ForeignKey]] = {}
         self_fks: list[ForeignKey] = []
         for fk in schema.foreign_keys_from(tname):
-            if fk.parent_table.lower() == tname.lower():
-                if fk.parent_column.lower() == fk.child_column.lower():
+            if fk.parent_table == tname:
+                if fk.parent_column == fk.child_column:
                     continue  # every value satisfies a key on its own column
                 self_fks.append(fk)
-            fks_by_col.setdefault(fk.child_column.lower(), []).append(fk)
+            fks_by_col.setdefault(fk.child_column, []).append(fk)
         values_by_col: dict[str, list[Cell]] = {}
         for col in _table_column_order(table, self_fks):
-            fks = fks_by_col.get(col.name.lower())
+            fks = fks_by_col.get(col.name)
             if fks:
                 # Self-FK pools come from columns of this table generated above.
                 for fk in fks:
-                    key = (fk.parent_table.lower(), fk.parent_column.lower())
-                    if key not in pools and fk.parent_table.lower() == tname.lower():
-                        pools[key] = values_by_col[fk.parent_column.lower()]
+                    key = (fk.parent_table, fk.parent_column)
+                    if key not in pools and fk.parent_table == tname:
+                        pools[key] = values_by_col[fk.parent_column]
                 sole_key = table.primary_key() == (col.name,)
-                values_by_col[col.name.lower()] = _fuzz_fk_column(
+                values_by_col[col.name] = _fuzz_fk_column(
                     col, fks, pools, config.mts, rng, sole_key
                 )
             else:
-                values_by_col[col.name.lower()] = _fuzz_plain_column(col, config.mts, rng)
-        rows = tuple(
-            tuple(values_by_col[c.name.lower()][i] for c in table.columns)
-            for i in range(config.mts)
-        )
-        data[table.name] = TableData(table.name, table.column_names(), rows)
-        for col in table.columns:
-            pools[(tname.lower(), col.name.lower())] = values_by_col[col.name.lower()]
+                values_by_col[col.name] = _fuzz_plain_column(col, config.mts, rng)
+        columns = [values_by_col[c.name] for c in table.columns]
+        data[tname] = TableData(tname, tuple(zip(*columns)))
+        for col, values in zip(table.columns, columns):
+            pools[(tname, col.name)] = values
 
     return DatabaseInstance(schema=schema, tables=data)
 
@@ -214,20 +211,18 @@ def sample_database(
     data: dict[str, TableData] = {}
 
     for tname in order:
-        table = schema.table(tname)
-        source = original.data_for(tname)
-        rows = source.rows
+        table, source = schema.table(tname), original.schema.table(tname)
+        rows = original.data_for(tname).rows
 
         picked_set: set[int] = set()
         for fk in schema.foreign_keys_into(tname):
-            if fk.child_table.lower() == tname.lower():
+            if fk.child_table == tname:
                 continue  # self references are closed over below
-            child = original.data_for(fk.child_table)
-            ci = column_index(child, fk.child_column)
-            chosen = selected.get(fk.child_table.lower(), [])
-            values = {child.rows[i][ci] for i in chosen} - {None}
+            child_rows = original.data_for(fk.child_table).rows
+            ci = original.schema.table(fk.child_table).index(fk.child_column)
+            values = {child_rows[i][ci] for i in selected.get(fk.child_table, [])} - {None}
             if values:
-                picked_set.update(_rows_where(rows, column_index(source, fk.parent_column), values))
+                picked_set.update(_rows_where(rows, source.index(fk.parent_column), values))
         if len(picked_set) < config.mts:
             remaining = (
                 list(filterfalse(picked_set.__contains__, range(len(rows))))
@@ -237,14 +232,10 @@ def sample_database(
             if need:
                 picked_set.update(rng.sample(remaining, need))
 
-        self_fks = [
-            fk for fk in schema.foreign_keys_from(tname)
-            if fk.parent_table.lower() == tname.lower()
-        ]
+        self_fks = [fk for fk in schema.foreign_keys_from(tname) if fk.parent_table == tname]
         if self_fks:
             pairs = [
-                (column_index(source, fk.child_column), column_index(source, fk.parent_column))
-                for fk in self_fks
+                (source.index(fk.child_column), source.index(fk.parent_column)) for fk in self_fks
             ]
             while True:
                 missing: set[Cell] = set()
@@ -261,23 +252,15 @@ def sample_database(
                 picked_set |= closure
 
         final = sorted(picked_set)
-        selected[tname.lower()] = final
-        picked, columns = tuple(rows[i] for i in final), source.columns
-        idxs = [column_index(source, c) for c in table.column_names()]
-        if len(idxs) < len(columns):  # some column is pruned
+        selected[tname] = final
+        picked = tuple(rows[i] for i in final)
+        if len(table.columns) < len(source.columns):  # some column is pruned
+            idxs = [source.index(c.name) for c in table.columns]
             pick = itemgetter(*idxs)
             picked = tuple(map(pick, picked)) if len(idxs) > 1 else tuple(zip(map(pick, picked)))
-            columns = table.column_names()
-        data[table.name] = TableData(table.name, columns, picked)
+        data[tname] = TableData(tname, picked)
 
     return DatabaseInstance(schema=schema, tables=data)
-
-
-def generate_database(source: DatabaseInstance, config: GenConfig) -> DatabaseInstance:
-    """Dispatch on config.method."""
-    if config.method is GenMethod.FUZZING:
-        return fuzz_database(source.schema, config)
-    return sample_database(source, config)
 
 
 def constrain_numbers(
@@ -303,20 +286,18 @@ def constrain_numbers(
 
     rng = random.Random(config.seed)
     lo, hi = CONSTRAINED_RANGE
-    tables = dict(db.tables)
-    by_table: dict[str, list[str]] = {}
-    for tname, cname in sorted(target_columns, key=lambda tc: (tc[0].lower(), tc[1].lower())):
-        by_table.setdefault(tname, []).append(cname)
+    tables = {t.name: db.data_for(t.name) for t in schema.tables}
+    by_table: dict[str, list[int]] = {}
+    for tname, cname in sorted(target_columns, key=lambda tc: (fold(tc[0]), fold(tc[1]))):
+        table = schema.table(tname)
+        by_table.setdefault(table.name, []).append(table.index(cname))
 
-    for tname, cnames in by_table.items():
-        source = db.data_for(tname)
-        rows = [list(row) for row in source.rows]
-        for cname in cnames:
-            idx = column_index(source, cname)
+    for tname, idxs in by_table.items():
+        rows = [list(row) for row in tables[tname].rows]
+        for idx in idxs:
             for row in rows:
                 row[idx] = rng.randint(lo, hi)
-        key = next(k for k in tables if k.lower() == tname.lower())
-        tables[key] = TableData(source.table_name, source.columns, tuple(tuple(r) for r in rows))
+        tables[tname] = TableData(tname, tuple(map(tuple, rows)))
     return DatabaseInstance(schema=schema, tables=tables)
 
 
@@ -378,28 +359,20 @@ def prune_schema(
         used_columns |= analysis.columns
 
     kept_tables = [t for t in schema.tables if t.name in used_tables]
-    kept_names = {t.name.lower() for t in kept_tables}
 
-    fk_keep: set[tuple[str, str]] = set()
     kept_fks: list[ForeignKey] = []
     for fk in schema.foreign_keys:
-        if fk.child_table.lower() in kept_names and fk.parent_table.lower() in kept_names:
-            fk_keep.add((fk.child_table.lower(), fk.child_column.lower()))
-            fk_keep.add((fk.parent_table.lower(), fk.parent_column.lower()))
+        if fk.child_table in used_tables and fk.parent_table in used_tables:
+            used_columns |= {(fk.child_table, fk.child_column), (fk.parent_table, fk.parent_column)}
             kept_fks.append(fk)
 
     new_tables: list[Table] = []
     for table in kept_tables:
-        tkey = table.name.lower()
-        wanted = {c.lower() for (t, c) in used_columns if t.lower() == tkey}
-        wanted |= {c for (t, c) in fk_keep if t == tkey}
+        wanted = {c for (t, c) in used_columns if t == table.name}
         if not wanted:
-            pk = table.primary_key()
-            wanted = {c.lower() for c in pk} if pk else {table.columns[0].name.lower()}
-        kept_cols = [c for c in table.columns if c.name.lower() in wanted]
-        pk_cols = {c.name.lower() for c in table.columns if c.is_primary_key}
-        pk_intact = pk_cols <= {c.name.lower() for c in kept_cols}
-        if not pk_intact:
+            wanted = set(table.primary_key() or table.column_names()[:1])
+        kept_cols = [c for c in table.columns if c.name in wanted]
+        if not set(table.primary_key()) <= wanted:
             kept_cols = [replace(c, is_primary_key=False) for c in kept_cols]
         new_tables.append(Table(name=table.name, columns=tuple(kept_cols)))
 

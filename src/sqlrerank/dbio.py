@@ -55,9 +55,8 @@ def database_script(instance: DatabaseInstance) -> str:
     for table in instance.schema.tables:
         statements.append(create_table_sql(table, instance.schema) + ";")
     for table in instance.schema.tables:
-        data = instance.data_for(table.name)
-        cols = ", ".join(quote_ident(c) for c in data.columns)
-        for row in data.rows:
+        cols = ", ".join(quote_ident(c) for c in table.column_names())
+        for row in instance.data_for(table.name).rows:
             values = ", ".join(sql_literal(v) for v in row)
             statements.append(
                 f"INSERT INTO {quote_ident(table.name)} ({cols}) VALUES ({values});"
@@ -73,8 +72,8 @@ def load_into_connection(instance: DatabaseInstance, conn: sqlite3.Connection) -
         data = instance.data_for(table.name)
         if not data.rows:
             continue
-        placeholders = ", ".join("?" for _ in data.columns)
-        cols = ", ".join(quote_ident(c) for c in data.columns)
+        placeholders = ", ".join("?" for _ in table.columns)
+        cols = ", ".join(quote_ident(c) for c in table.column_names())
         conn.executemany(
             f"INSERT INTO {quote_ident(table.name)} ({cols}) VALUES ({placeholders})",
             data.rows,
@@ -118,9 +117,5 @@ def _read_rows(schema: SchemaGraph, conn: sqlite3.Connection) -> DatabaseInstanc
         except sqlite3.OperationalError:
             # WITHOUT ROWID tables have no rowid; fall back to natural order.
             cur = conn.execute(f"SELECT {cols} FROM {quote_ident(table.name)}")
-        data[table.name] = TableData(
-            table_name=table.name,
-            columns=table.column_names(),
-            rows=tuple(tuple(row) for row in cur.fetchall()),
-        )
+        data[table.name] = TableData(table.name, tuple(tuple(row) for row in cur.fetchall()))
     return DatabaseInstance(schema=schema, tables=data)

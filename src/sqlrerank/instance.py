@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Union
 
 from .errors import MalformedDatabase
-from .schema import ColumnDef, ColumnType, ForeignKey, SchemaGraph, Table
+from .schema import ColumnDef, ColumnType, ForeignKey, SchemaGraph, Table, fold
 
 Cell = Union[int, float, str, None]
 Row = tuple
@@ -14,14 +14,10 @@ Row = tuple
 
 @dataclass(frozen=True)
 class TableData:
-    """Rows for one table. Column order matches the list given here."""
+    """Rows for one table, in the column order of its schema table."""
 
     table_name: str
-    columns: tuple[str, ...]
     rows: tuple[Row, ...]
-
-    def __post_init__(self) -> None:
-        check_row_widths(self.rows, len(self.columns), f" of {self.table_name!r}")
 
 
 def check_row_widths(rows: tuple[Row, ...], width: int, where: str = "") -> None:
@@ -37,46 +33,36 @@ class DatabaseInstance:
     """A schema plus rows for each of its tables.
 
     Every schema table must have a TableData entry (possibly empty) whose
-    column list matches the schema's column order.
+    rows each hold one cell per column of the schema table.
     """
 
     schema: SchemaGraph
     tables: dict[str, TableData] = field(default_factory=dict)
+    _by_name: dict[str, TableData] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        data_keys = {name.lower() for name in self.tables}
-        schema_keys = {t.name.lower() for t in self.schema.tables}
-        if data_keys != schema_keys:
-            missing = sorted(schema_keys - data_keys)
-            extra = sorted(data_keys - schema_keys)
+        by_name = {fold(name): data for name, data in self.tables.items()}
+        if len(by_name) < len(self.tables):
+            raise ValueError(f"instance holds a table twice: {sorted(self.tables)}")
+        schema_keys = {fold(t.name) for t in self.schema.tables}
+        if by_name.keys() != schema_keys:
+            missing = sorted(schema_keys - by_name.keys())
+            extra = sorted(by_name.keys() - schema_keys)
             raise ValueError(f"instance/schema table mismatch: missing={missing} extra={extra}")
+        object.__setattr__(self, "_by_name", by_name)
         for table in self.schema.tables:
-            data = self.data_for(table.name)
-            if tuple(c.lower() for c in data.columns) != tuple(
-                c.name.lower() for c in table.columns
-            ):
-                raise ValueError(
-                    f"column mismatch for {table.name!r}:"
-                    f" instance has {data.columns}, schema has {table.column_names()}"
-                )
+            rows = self.data_for(table.name).rows
+            check_row_widths(rows, len(table.columns), f" of {table.name!r}")
 
     def data_for(self, table_name: str) -> TableData:
-        key = table_name.lower()
-        for name, data in self.tables.items():
-            if name.lower() == key:
-                return data
-        raise KeyError(f"no data for table {table_name!r}")
+        """The rows of the table `table_name`, in any ASCII case."""
+        try:
+            return self._by_name[fold(table_name)]
+        except KeyError:
+            raise KeyError(f"no data for table {table_name!r}") from None
 
     def row_count(self, table_name: str) -> int:
         return len(self.data_for(table_name).rows)
-
-
-def column_index(data: TableData, column: str) -> int:
-    key = column.lower()
-    for i, name in enumerate(data.columns):
-        if name.lower() == key:
-            return i
-    raise KeyError(f"no column {column!r} in table {data.table_name!r}")
 
 
 def instance_to_json(instance: DatabaseInstance) -> dict[str, Any]:
@@ -159,7 +145,6 @@ def instance_from_json(payload: dict[str, Any]) -> DatabaseInstance:
     data = {
         t.name: TableData(
             table_name=t.name,
-            columns=t.column_names(),
             rows=finite_rows(
                 f"table {t.name!r}", payload["rows"].get(t.name, []), infinite_ok=False
             ),

@@ -70,9 +70,8 @@ def render_csv(db: DatabaseInstance) -> str:
     """One block per table: name line, header line, then the rows."""
     blocks: list[str] = []
     for table in db.schema.tables:
-        data = db.data_for(table.name)
-        lines = [table.name, ",".join(_csv_field(c) for c in data.columns)]
-        lines.extend(",".join(_csv_field(v) for v in row) for row in data.rows)
+        lines = [table.name, ",".join(_csv_field(c) for c in table.column_names())]
+        lines.extend(",".join(_csv_field(v) for v in row) for row in db.data_for(table.name).rows)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 

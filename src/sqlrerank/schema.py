@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,6 +23,16 @@ class ColumnType(Enum):
     OTHER = "other"
 
 
+# SQLite folds the case of ASCII letters only: `É` and `é` name two columns.
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def fold(name: str) -> str:
+    """`name` as SQLite compares table, column and type names: ASCII letters
+    in lower case, every other character as it is."""
+    return name.lower() if name.isascii() else name.translate(_ASCII_LOWER)
+
+
 # Substring rules applied in order; first hit wins. Mirrors SQLite's own
 # affinity derivation closely enough for the declared types seen in practice.
 _TYPE_RULES: tuple[tuple[tuple[str, ...], ColumnType], ...] = (
@@ -33,9 +44,9 @@ _TYPE_RULES: tuple[tuple[tuple[str, ...], ColumnType], ...] = (
 
 def classify_declared_type(declared: str) -> ColumnType:
     """Map a declared SQL type string to a coarse ColumnType."""
-    lowered = declared.lower()
+    folded = fold(declared)
     for needles, ctype in _TYPE_RULES:
-        if any(n in lowered for n in needles):
+        if any(n in folded for n in needles):
             return ctype
     return ColumnType.OTHER
 
@@ -56,27 +67,29 @@ class Table:
 
     name: str
     columns: tuple[ColumnDef, ...]
+    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.columns:
             raise ValueError(f"table {self.name!r} has no columns")
-        seen = set()
-        for col in self.columns:
-            key = col.name.lower()
-            if key in seen:
+        positions: dict[str, int] = {}
+        for i, col in enumerate(self.columns):
+            if positions.setdefault(fold(col.name), i) != i:
                 raise ValueError(f"table {self.name!r} has duplicate column {col.name!r}")
-            seen.add(key)
+        object.__setattr__(self, "_positions", positions)
+
+    def index(self, name: str) -> int:
+        """The position of the column `name`, in any ASCII case."""
+        try:
+            return self._positions[fold(name)]
+        except KeyError:
+            raise KeyError(f"no column {name!r} in table {self.name!r}") from None
 
     def column(self, name: str) -> ColumnDef:
-        key = name.lower()
-        for col in self.columns:
-            if col.name.lower() == key:
-                return col
-        raise KeyError(f"no column {name!r} in table {self.name!r}")
+        return self.columns[self.index(name)]
 
     def has_column(self, name: str) -> bool:
-        key = name.lower()
-        return any(col.name.lower() == key for col in self.columns)
+        return fold(name) in self._positions
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
@@ -100,60 +113,68 @@ class SchemaGraph:
     """All tables plus the foreign keys linking them.
 
     Table order is meaningful: it is the order tables were declared (or
-    constructed) in, and generation and serialization follow it.
+    constructed) in, and generation and serialization follow it. Each
+    foreign key is stored with its names spelled as their tables and
+    columns are declared.
     """
 
     tables: tuple[Table, ...]
     foreign_keys: tuple[ForeignKey, ...] = field(default_factory=tuple)
+    _by_name: dict[str, Table] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        seen = set()
+        by_name: dict[str, Table] = {}
         for table in self.tables:
-            key = table.name.lower()
-            if key in seen:
+            key = fold(table.name)
+            if key in by_name:
                 raise ValueError(f"duplicate table {table.name!r}")
-            seen.add(key)
-        for fk in self.foreign_keys:
-            child = self._find_table(fk.child_table)
-            parent = self._find_table(fk.parent_table)
-            if child is None or parent is None:
-                raise ValueError(f"foreign key references unknown table: {fk}")
-            if not child.has_column(fk.child_column) or not parent.has_column(fk.parent_column):
-                raise ValueError(f"foreign key references unknown column: {fk}")
+            by_name[key] = table
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "foreign_keys", tuple(map(self._declared, self.foreign_keys)))
 
-    def _find_table(self, name: str) -> Table | None:
-        key = name.lower()
-        for table in self.tables:
-            if table.name.lower() == key:
-                return table
-        return None
+    def _declared(self, fk: ForeignKey) -> ForeignKey:
+        child = self._by_name.get(fold(fk.child_table))
+        parent = self._by_name.get(fold(fk.parent_table))
+        if child is None or parent is None:
+            raise ValueError(f"foreign key references unknown table: {fk}")
+        if not child.has_column(fk.child_column) or not parent.has_column(fk.parent_column):
+            raise ValueError(f"foreign key references unknown column: {fk}")
+        return ForeignKey(
+            child.name,
+            child.column(fk.child_column).name,
+            parent.name,
+            parent.column(fk.parent_column).name,
+        )
 
     def table(self, name: str) -> Table:
-        found = self._find_table(name)
-        if found is None:
-            raise KeyError(f"no table named {name!r}")
-        return found
+        """The table `name`, in any ASCII case."""
+        try:
+            return self._by_name[fold(name)]
+        except KeyError:
+            raise KeyError(f"no table named {name!r}") from None
 
     def has_table(self, name: str) -> bool:
-        return self._find_table(name) is not None
+        return fold(name) in self._by_name
 
     def foreign_keys_from(self, child_table: str) -> tuple[ForeignKey, ...]:
-        key = child_table.lower()
-        return tuple(fk for fk in self.foreign_keys if fk.child_table.lower() == key)
+        """The foreign keys of the table declared `child_table`."""
+        return tuple(fk for fk in self.foreign_keys if fk.child_table == child_table)
 
     def foreign_keys_into(self, parent_table: str) -> tuple[ForeignKey, ...]:
-        key = parent_table.lower()
-        return tuple(fk for fk in self.foreign_keys if fk.parent_table.lower() == key)
+        """The foreign keys into the table declared `parent_table`."""
+        return tuple(fk for fk in self.foreign_keys if fk.parent_table == parent_table)
 
     def is_foreign_key_endpoint(self, table: str, column: str) -> bool:
-        """True if the column participates in any FK, as child or parent."""
-        tkey, ckey = table.lower(), column.lower()
-        for fk in self.foreign_keys:
-            if fk.child_table.lower() == tkey and fk.child_column.lower() == ckey:
-                return True
-            if fk.parent_table.lower() == tkey and fk.parent_column.lower() == ckey:
-                return True
-        return False
+        """True if the column, named in any ASCII case, participates in any
+        FK, as child or parent."""
+        found = self._by_name.get(fold(table))
+        if found is None or not found.has_column(column):
+            return False
+        end = (found.name, found.column(column).name)
+        return any(
+            end in ((fk.child_table, fk.child_column), (fk.parent_table, fk.parent_column))
+            for fk in self.foreign_keys
+        )
 
 
 def topo_order_parents_first(schema: SchemaGraph) -> tuple[str, ...]:
@@ -162,15 +183,14 @@ def topo_order_parents_first(schema: SchemaGraph) -> tuple[str, ...]:
     Self references are ignored. Ties break by declaration order, making the
     result deterministic. Raises CyclicForeignKeys on a cross-table cycle.
     """
-    key_of = {t.name.lower(): t.name for t in schema.tables}
     order, cyclic = order_parents_first(
-        list(key_of),
-        [(fk.parent_table.lower(), fk.child_table.lower()) for fk in schema.foreign_keys],
+        [t.name for t in schema.tables],
+        [(fk.parent_table, fk.child_table) for fk in schema.foreign_keys],
     )
     if cyclic:
-        names = ", ".join(sorted(key_of[k] for k in cyclic))
+        names = ", ".join(sorted(cyclic))
         raise CyclicForeignKeys(f"foreign keys form a cycle among tables: {names}")
-    return tuple(key_of[k] for k in order)
+    return tuple(order)
 
 
 def order_parents_first(
@@ -254,12 +274,12 @@ def schema_from_connection(conn: sqlite3.Connection) -> SchemaGraph:
             raise MalformedDatabase(f"table {tname!r} reports no columns")
         tables.append(Table(name=tname, columns=tuple(cols)))
 
-    by_name = {t.name.lower(): t for t in tables}
+    by_name = {fold(t.name): t for t in tables}
     for tname in table_names:
         for _id, _seq, parent, child_col, parent_col, *_rest in conn.execute(
             f"PRAGMA foreign_key_list({quote_ident(tname)})"
         ):
-            parent_table = by_name.get(parent.lower())
+            parent_table = by_name.get(fold(parent))
             if parent_table is None:
                 raise MalformedDatabase(
                     f"foreign key in {tname!r} references missing table {parent!r}"
@@ -278,7 +298,7 @@ def schema_from_connection(conn: sqlite3.Connection) -> SchemaGraph:
                     f"foreign key in {tname!r} references missing column"
                     f" {parent!r}.{parent_col!r}"
                 )
-            if not by_name[tname.lower()].has_column(child_col):
+            if not by_name[fold(tname)].has_column(child_col):
                 raise MalformedDatabase(
                     f"foreign key in {tname!r} names missing child column {child_col!r}"
                 )

@@ -18,12 +18,12 @@ import functools
 import logging
 import re
 import sqlite3
-import string
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SqlParseError
+from .schema import fold
 
 if TYPE_CHECKING:
     from .executor import Session
@@ -102,7 +102,7 @@ def tokenize(sql: str) -> list[Token]:
 
 
 def _is_word(tok: Token, words: frozenset[str] | set[str]) -> bool:
-    return tok.kind == "ident" and tok.value.lower() in words
+    return tok.kind == "ident" and fold(tok.value) in words
 
 
 def _names(run: list[Token]) -> Iterator[tuple[str | None, str]]:
@@ -117,7 +117,7 @@ def _names(run: list[Token]) -> Iterator[tuple[str | None, str]]:
             if i + 1 < n and run[i + 1].kind == "ident":
                 yield tok.value, run[i + 1].value
             i += 2
-        elif tok.value.lower() not in _KEYWORDS:
+        elif fold(tok.value) not in _KEYWORDS:
             yield None, tok.value
 
 
@@ -158,9 +158,9 @@ def _deref(
     if head.text.isdigit() and len(head.text) < 10:  # longer is a REAL to SQLite
         k = int(head.text)
         return outputs[k - 1] if 1 <= k <= len(outputs) else []
-    alias = head.value.lower()
+    alias = fold(head.value)
     for out in outputs:
-        if len(out) >= 3 and _is_word(out[-2], {"as"}) and out[-1].value.lower() == alias:
+        if len(out) >= 3 and _is_word(out[-2], {"as"}) and fold(out[-1].value) == alias:
             return out[:-2]
     return item
 
@@ -214,8 +214,8 @@ def _match(
         (table, column)
         for qualifier, name in refs
         for table, column in columns
-        if column.lower() == name.lower()
-        and (qualifier is None or (table.lower(), qualifier.lower()) in names)
+        if fold(column) == fold(name)
+        and (qualifier is None or (fold(table), fold(qualifier)) in names)
     )
 
 
@@ -230,8 +230,6 @@ class _Reading(NamedTuple):
     error: str | None = None
 
 
-# SQLite folds the case of ASCII letters only: `É` and `é` name two columns.
-_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 # Whitespace that Python's \s matches and SQLite's tokenizer does not.
 _FOREIGN_SPACE = re.compile(r"[^\S \t\n\f\r]")
 
@@ -239,7 +237,7 @@ _FOREIGN_SPACE = re.compile(r"[^\S \t\n\f\r]")
 def _spelling(sql: str, tokens: list[Token]) -> str | None:
     """The text as SQLite reads it, with what it ignores taken out: comments
     and whitespace between two tokens become one space, a trailing `;` goes,
-    and bare words fold to lower case in ASCII only. Quoted identifiers,
+    and bare words fold to lower case in ASCII only (`fold`). Quoted identifiers,
     strings and numbers stay verbatim, because SQLite reads `"a"` as the
     string 'a' where no column `a` exists. Tokens with nothing between them
     stay joined: `0x1F` and `1abc` are not `0 x1F` and `1 abc` to SQLite.
@@ -250,7 +248,7 @@ def _spelling(sql: str, tokens: list[Token]) -> str | None:
     not a bare word, a first word EXPLAIN, or whitespace SQLite rejects."""
     if tokens and tokens[-1].text == ";":
         tokens = tokens[:-1]
-    words = [t.text.translate(_ASCII_LOWER) if _is_bare(t) else None for t in tokens]
+    words = [fold(t.text) if _is_bare(t) else None for t in tokens]
     if not words or words[0] in (None, "explain") or _FOREIGN_SPACE.search(sql):
         return None
     parts: list[str] = []
@@ -276,7 +274,7 @@ def _read(sql: str) -> _Reading:
         tokens = tokenize(sql)
     except SqlParseError as exc:
         return _Reading(False, False, (), frozenset(), error=str(exc))
-    words = [t.value.lower() if t.kind == "ident" else "" for t in tokens]
+    words = [fold(t.value) if t.kind == "ident" else "" for t in tokens]
     ordered, depth = False, 0
     for tok, word, nxt in zip(tokens, words, words[1:]):
         if tok.text == "(":
@@ -287,7 +285,7 @@ def _read(sql: str) -> _Reading:
             ordered = True
             break
     refs = tuple(_agg_and_sort_refs(tokens, words))
-    qualifiers = {q.lower() for q, _name in refs if q is not None}
+    qualifiers = {fold(q) for q, _name in refs if q is not None}
     by_name = "natural" in words or "using" in words
     return _Reading(ordered, by_name, refs, _names_of(words, qualifiers), _spelling(sql, tokens))
 

@@ -40,6 +40,8 @@ from .executor import (
 from .instance import DatabaseInstance, instance_from_json, instance_to_json
 from .oracle import build_request
 from .promptgen import PromptConfig
+from .schema import SchemaGraph
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -146,6 +148,17 @@ def classify_candidates(
     return classes, representatives
 
 
+# Here and not in dbgen: bench/spans.py traces the generators at these names.
+def generate_database(
+    original: DatabaseInstance, config: GenConfig, schema: SchemaGraph | None = None
+) -> DatabaseInstance:
+    """A database drawn by config.method onto `schema`, a pruning of the
+    original's schema (`prune_schema`), or onto its own schema when None."""
+    if config.method is GenMethod.FUZZING:
+        return fuzz_database(original.schema if schema is None else schema, config)
+    return sample_database(original, config, schema)
+
+
 def _pairwise_distinguished(signatures: list[tuple], n_reps: int) -> bool:
     if n_reps < 2:
         return True
@@ -208,10 +221,7 @@ def generate_suite(
             iteration_seed = master.getrandbits(63)
             gen_config = replace(config.gen, seed=iteration_seed)
             try:
-                if gen_config.method is GenMethod.FUZZING:
-                    candidate_db = fuzz_database(schema, gen_config)
-                else:
-                    candidate_db = sample_database(original_db, gen_config, schema)
+                candidate_db = generate_database(original_db, gen_config, schema)
                 if targets:
                     candidate_db = constrain_numbers(candidate_db, targets, gen_config)
             except MalformedDatabase:

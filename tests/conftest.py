@@ -41,11 +41,7 @@ def col(name: str, ctype: ColumnType = ColumnType.INTEGER, raw: str | None = Non
 
 def make_instance(schema: SchemaGraph, rows_by_table: dict[str, list[tuple]]) -> DatabaseInstance:
     tables = {
-        t.name: TableData(
-            table_name=t.name,
-            columns=t.column_names(),
-            rows=tuple(tuple(r) for r in rows_by_table.get(t.name, [])),
-        )
+        t.name: TableData(t.name, tuple(tuple(r) for r in rows_by_table.get(t.name, [])))
         for t in schema.tables
     }
     return DatabaseInstance(schema=schema, tables=tables)

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from sqlrerank.dbio import _read_rows, create_table_sql
 from sqlrerank.errors import SqlParseError
-from sqlrerank.instance import DatabaseInstance, TableData, column_index
+from sqlrerank.instance import DatabaseInstance, TableData
 from sqlrerank.schema import schema_from_connection
 from sqlrerank.sqlanalysis import READ_ACTIONS, SqlAnalysis, _match, _read
 
@@ -164,11 +164,10 @@ def project(db, schema):
         return db
     tables = {}
     for table in schema.tables:
-        source = db.data_for(table.name)
-        names = [c.lower() for c in source.columns]
-        idxs = [names.index(c.lower()) for c in table.column_names()]
-        rows = tuple(tuple(row[i] for i in idxs) for row in source.rows)
-        tables[table.name] = TableData(table.name, table.column_names(), rows)
+        source = db.schema.table(table.name)
+        idxs = [source.index(c) for c in table.column_names()]
+        rows = tuple(tuple(row[i] for i in idxs) for row in db.data_for(table.name).rows)
+        tables[table.name] = TableData(table.name, rows)
     return DatabaseInstance(schema=schema, tables=tables)
 
 
@@ -179,12 +178,10 @@ def foreign_key_violations(instance):
     """Every (fk, value) pair where a non-NULL child value is absent from the parent."""
     violations = []
     for fk in instance.schema.foreign_keys:
-        child = instance.data_for(fk.child_table)
-        parent = instance.data_for(fk.parent_table)
-        ci = column_index(child, fk.child_column)
-        pi = column_index(parent, fk.parent_column)
-        parent_values = {row[pi] for row in parent.rows}
-        for row in child.rows:
+        ci = instance.schema.table(fk.child_table).index(fk.child_column)
+        pi = instance.schema.table(fk.parent_table).index(fk.parent_column)
+        parent_values = {row[pi] for row in instance.data_for(fk.parent_table).rows}
+        for row in instance.data_for(fk.child_table).rows:
             value = row[ci]
             if value is not None and value not in parent_values:
                 violations.append((fk, value))

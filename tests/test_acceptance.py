@@ -31,7 +31,7 @@ from test_promptgen import _golden_db, _golden_pool
 import sqlrerank
 from sqlrerank.cli import main
 from sqlrerank.corpus import CorpusEntry
-from sqlrerank.dbgen import GenConfig, GenMethod, generate_database
+from sqlrerank.dbgen import GenConfig, GenMethod
 from sqlrerank.dbio import read_database, write_database
 from sqlrerank.evaluate import entry_seed, evaluate_corpus
 from sqlrerank.executor import (
@@ -54,7 +54,13 @@ from sqlrerank.promptgen import (
     render_sqlite,
 )
 from sqlrerank.schema import ColumnType, ForeignKey, SchemaGraph, Table
-from sqlrerank.suite import Candidate, SuiteConfig, classify_candidates, generate_suite
+from sqlrerank.suite import (
+    Candidate,
+    SuiteConfig,
+    classify_candidates,
+    generate_database,
+    generate_suite,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> str:
@@ -116,8 +122,8 @@ def _scan_foreign_keys(instance: DatabaseInstance) -> int:
     for fk in instance.schema.foreign_keys:
         child = instance.data_for(fk.child_table)
         parent = instance.data_for(fk.parent_table)
-        ci = _column_pos(child.columns, fk.child_column)
-        pi = _column_pos(parent.columns, fk.parent_column)
+        ci = _column_pos(instance.schema.table(fk.child_table).column_names(), fk.child_column)
+        pi = _column_pos(instance.schema.table(fk.parent_table).column_names(), fk.parent_column)
         parent_values = {row[pi] for row in parent.rows}
         for row in child.rows:
             if row[ci] is not None and row[ci] not in parent_values:
@@ -172,9 +178,9 @@ def _required_row_indices(source: DatabaseInstance, sampled: DatabaseInstance, t
         if fk.child_table.lower() == tname.lower():
             continue
         child = sampled.data_for(fk.child_table)
-        ci = _column_pos(child.columns, fk.child_column)
+        ci = _column_pos(sampled.schema.table(fk.child_table).column_names(), fk.child_column)
         values = {row[ci] for row in child.rows} - {None}
-        pi = _column_pos(table.columns, fk.parent_column)
+        pi = _column_pos(source.schema.table(tname).column_names(), fk.parent_column)
         required |= {i for i, row in enumerate(table.rows) if row[pi] in values}
     return required
 
@@ -645,7 +651,7 @@ def _csv_round_trip_cells(instance: DatabaseInstance) -> int:
         assert lines[0] == table.name
         parsed = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
         data = instance.data_for(table.name)
-        assert parsed[0] == list(data.columns)
+        assert parsed[0] == list(table.column_names())
         for row, parsed_row in zip(data.rows, parsed[1:], strict=True):
             for cell, text in zip(row, parsed_row, strict=True):
                 assert text == ("" if cell is None else str(cell))

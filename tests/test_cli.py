@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -53,6 +54,29 @@ def test_gen_db_random_selection(workdir, capsys):
     original = read_database(str(workdir / "s.db"))
     for row in instance.data_for("student").rows:
         assert row in original.data_for("student").rows
+
+
+def test_gen_db_reads_names_unlike_outside_ascii(tmp_path):
+    """SQLite folds ASCII letters only: `É` and `é` are two columns, and
+    `Ä` and `ä` two tables."""
+    path = tmp_path / "names.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE t ("É" int, "é" int);
+        CREATE TABLE "Ä" (x int);
+        CREATE TABLE "ä" (y int);
+        INSERT INTO t VALUES (1, 2);
+        """
+    )
+    conn.close()
+    instance = read_database(str(path))
+    assert instance.schema.table("t").column_names() == ("É", "é")
+    assert [t.name for t in instance.schema.tables] == ["t", "Ä", "ä"]
+    assert instance.data_for("t").rows == ((1, 2),)
+    out = tmp_path / "out.db"
+    assert run_cli("gen-db", "--db", path, "--out", out) == 0
+    assert read_database(str(out)).data_for("t").rows == ((1, 2),)
 
 
 def test_gen_db_fuzzing(workdir):
@@ -559,6 +583,9 @@ def _entry(**changes):
         (_entry(tags=5), {}, "tags must be a list of strings"),
         (_entry(tags=["ok", 5]), {}, "tags must be a list of strings"),
         (_entry(gold_sql=5), {}, "gold_sql must be a string"),
+        (_entry(question=None), {}, "question must be a string"),
+        (_entry(entry_id=None), {}, "entry_id must be a string"),
+        (_entry(db_id=5), {}, "db_id must be a string"),
         (_entry(type_overrides={"student.age": 5}), {}, "type_overrides"),
         (
             _entry(candidates=[{"sql": WRONG_MAX, "rank": 0}, {"sql": GOLD_MIN, "rank": True}]),
@@ -580,7 +607,7 @@ def _entry(**changes):
     ],
     ids=[
         "entries-int", "db-file-int", "db-file-null", "candidates-file-int", "tags-int", "tags-holds-int",
-        "gold-sql-int", "override-label-int", "rank-bool", "probability-bool",
+        "gold-sql-int", "question-null", "entry-id-null", "db-id-int", "override-label-int", "rank-bool", "probability-bool",
         "manifest-not-utf8", "candidates-file-not-utf8", "example-pool-not-utf8",
     ],
 )

@@ -9,15 +9,15 @@ from sqlrerank.dbgen import (
     GenMethod,
     constrain_numbers,
     fuzz_database,
-    generate_database,
     prune_schema,
     sample_database,
     _fuzz_fk_column,
 )
-from sqlrerank.dbio import load_into_connection
+from sqlrerank.dbio import load_into_connection, read_database
 from sqlrerank.errors import MalformedDatabase, TargetIsForeignKey, UnknownColumn
 from sqlrerank.executor import OutcomeKind, execute, results_equal
 from sqlrerank.schema import ColumnType, ForeignKey, SchemaGraph, Table
+from sqlrerank.suite import generate_database
 
 from conftest import col, make_instance
 from refimpl import foreign_key_violations, project
@@ -62,9 +62,8 @@ def test_fuzz_pk_distinct(chain_schema, junction_schema):
     for seed in range(10):
         db = fuzz_database(chain_schema, fuzz_cfg(seed=seed, mts=6))
         for tname, pk in (("parent", "pid"), ("child", "cid"), ("grandchild", "gid")):
-            data = db.data_for(tname)
-            idx = data.columns.index(pk)
-            values = [r[idx] for r in data.rows]
+            idx = db.schema.table(tname).index(pk)
+            values = [r[idx] for r in db.data_for(tname).rows]
             assert len(set(values)) == len(values)
         jdb = fuzz_database(junction_schema, fuzz_cfg(seed=seed, mts=3))
         link = jdb.data_for("link")
@@ -306,6 +305,26 @@ def test_generate_database_dispatch(student_instance):
     assert fuzzed.row_count("student") == 2
 
 
+def test_foreign_key_spelled_unlike_its_columns_stays_valid(tmp_path):
+    path = tmp_path / "fk.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE P (Id INTEGER PRIMARY KEY);
+        CREATE TABLE C (Pid int, FOREIGN KEY (pID) REFERENCES p (ID));
+        INSERT INTO P VALUES (1), (2), (3), (4);
+        INSERT INTO C VALUES (1), (3), (3), (4);
+        """
+    )
+    conn.close()
+    original = read_database(str(path))
+    assert original.schema.foreign_keys == (ForeignKey("C", "Pid", "P", "Id"),)
+    for method in GenMethod:
+        for seed in range(20):
+            db = generate_database(original, GenConfig(mts=2, method=method, seed=seed))
+            assert foreign_key_violations(db) == []
+
+
 # --- constrained values --------------------------------------------------------
 
 
@@ -387,10 +406,17 @@ def prune_and_project(db, sqls):
     return project(db, schema), targets
 
 
+def test_prune_targets_tell_apart_names_unlike_outside_ascii():
+    schema = SchemaGraph(tables=(Table("t", (col("É"),)), Table("u", (col("é"),))))
+    db = make_instance(schema, {"t": [(1,)], "u": [(2,)]})
+    _schema, targets = prune_schema(db, ['SELECT max("É") FROM t, u WHERE u."é" > 0'])
+    assert targets == {("t", "É")}
+
+
 def test_prune_drops_unused_table(chain_instance):
     out, _targets = prune_and_project(chain_instance, ["SELECT pval FROM parent"])
     assert tuple(t.name for t in out.schema.tables) == ("parent",)
-    assert out.data_for("parent").columns == ("pval",)
+    assert out.schema.table("parent").column_names() == ("pval",)
 
 
 def test_prune_keeps_fk_bridge_columns(student_instance):
@@ -411,12 +437,12 @@ def test_prune_drops_fk_to_dropped_table(student_instance):
     out, _targets = prune_and_project(student_instance, ["SELECT grade FROM enrollment"])
     assert tuple(t.name for t in out.schema.tables) == ("enrollment",)
     assert out.schema.foreign_keys == ()
-    assert out.data_for("enrollment").columns == ("grade",)
+    assert out.schema.table("enrollment").column_names() == ("grade",)
 
 
 def test_prune_star_keeps_all_columns(student_instance):
     out, _targets = prune_and_project(student_instance, ["SELECT * FROM student"])
-    assert out.data_for("student").columns == ("student_id", "name", "age")
+    assert out.schema.table("student").column_names() == ("student_id", "name", "age")
 
 
 def test_prune_unparsable_returns_input(student_instance):
@@ -428,7 +454,7 @@ def test_prune_unparsable_returns_input(student_instance):
 def test_prune_table_with_no_columns_keeps_pk(student_instance):
     out, _targets = prune_and_project(student_instance, ["SELECT count(*) FROM student"])
     assert tuple(t.name for t in out.schema.tables) == ("student",)
-    assert out.data_for("student").columns == ("student_id",)
+    assert out.schema.table("student").column_names() == ("student_id",)
     assert out.data_for("student").rows == ((1,), (2,), (3,), (4,))
 
 
@@ -581,10 +607,10 @@ def test_prune_projection_matches_per_cell_projection(student_instance, chain_in
         out = sample_database(original, pick_cfg(mts=100), schema)
         for table in schema.tables:
             source = original.data_for(table.name)
-            idxs = [source.columns.index(c) for c in table.column_names()]
+            idxs = [original.schema.table(table.name).index(c) for c in table.column_names()]
             pruned = out.data_for(table.name).rows
             assert pruned == tuple(tuple(row[i] for i in idxs) for row in source.rows)
-            if len(idxs) == len(source.columns):
+            if len(idxs) == len(original.schema.table(table.name).columns):
                 assert all(a is b for a, b in zip(pruned, source.rows))
 
 

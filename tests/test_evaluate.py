@@ -402,6 +402,8 @@ def test_bench_tracing_records_every_layer(corpus):
         "suite.generate_suite",
         "suite.rerank",
         "oracle.predict",
+        "dbgen.sample_database",
+        "dbgen.prune_schema",
     ):
         assert recorded[name] >= 1, name
 

@@ -9,7 +9,7 @@ from sqlrerank.executor import ExecutionResult
 from sqlrerank.instance import (
     DatabaseInstance,
     TableData,
-    column_index,
+    check_row_widths,
     instance_from_json,
     instance_to_json,
 )
@@ -20,8 +20,9 @@ from refimpl import foreign_key_violations
 
 
 def test_table_data_rejects_ragged_rows():
+    schema = SchemaGraph(tables=(Table("t", (col("a"), col("b"))),))
     with pytest.raises(ValueError):
-        TableData("t", ("a", "b"), ((1, 2), (3,)))
+        DatabaseInstance(schema=schema, tables={"t": TableData("t", ((1, 2), (3,)))})
 
 
 def test_instance_rejects_missing_table(student_schema):
@@ -29,7 +30,7 @@ def test_instance_rejects_missing_table(student_schema):
         DatabaseInstance(
             schema=student_schema,
             tables={
-                "student": TableData("student", ("student_id", "name", "age"), ()),
+                "student": TableData("student", ()),
             },
         )
 
@@ -37,9 +38,16 @@ def test_instance_rejects_missing_table(student_schema):
 def test_instance_rejects_unknown_table(student_schema):
     good = make_instance(student_schema, {"student": [], "enrollment": []})
     extra = dict(good.tables)
-    extra["ghost"] = TableData("ghost", ("x",), ())
+    extra["ghost"] = TableData("ghost", ())
     with pytest.raises(ValueError):
         DatabaseInstance(schema=student_schema, tables=extra)
+
+
+def test_instance_rejects_a_table_named_twice(student_schema):
+    twice = dict(make_instance(student_schema, {"student": [], "enrollment": []}).tables)
+    twice["STUDENT"] = TableData("STUDENT", ())
+    with pytest.raises(ValueError, match="twice"):
+        DatabaseInstance(schema=student_schema, tables=twice)
 
 
 def test_instance_rejects_wrong_arity(student_schema):
@@ -48,15 +56,6 @@ def test_instance_rejects_wrong_arity(student_schema):
             student_schema,
             {"student": [(1, "ann")], "enrollment": []},
         )
-
-
-def test_instance_rejects_column_mismatch(student_schema):
-    tables = {
-        "student": TableData("student", ("student_id", "age", "name"), ()),
-        "enrollment": TableData("enrollment", ("row_id", "student_id", "grade"), ()),
-    }
-    with pytest.raises(ValueError):
-        DatabaseInstance(schema=student_schema, tables=tables)
 
 
 def test_data_for_case_insensitive(student_instance):
@@ -71,10 +70,10 @@ def test_row_count(student_instance):
 
 
 def test_column_index(student_instance):
-    data = student_instance.data_for("student")
-    assert column_index(data, "AGE") == 2
+    table = student_instance.schema.table("student")
+    assert table.index("AGE") == 2
     with pytest.raises(KeyError):
-        column_index(data, "nope")
+        table.index("nope")
 
 
 def test_fk_violations_clean(student_instance):
@@ -160,10 +159,11 @@ def test_composite_junction_round_trip(junction_instance):
 
 
 def test_row_width_checks_keep_their_messages():
+    schema = SchemaGraph(tables=(Table("t", (col("a"), col("b"))),))
     with pytest.raises(ValueError, match=r"^row 1 of 't' has 1 cells, expected 2$"):
-        TableData("t", ("a", "b"), ((1, 2), (3,), (4, 5, 6)))
+        make_instance(schema, {"t": [(1, 2), (3,), (4, 5, 6)]})
     with pytest.raises(ValueError, match=r"^row 0 has 1 cells, expected 2$"):
         ExecutionResult(("a", "b"), ((1,),))
     # Zero columns and no rows are both fine.
-    TableData("t", (), ((), ()))
+    check_row_widths(((), ()), 0)
     ExecutionResult(("a",), ())

@@ -230,9 +230,8 @@ def test_generated_instances_load_and_keep_their_keys(case, method, seed):
     for tname, cname in targets:
         column = schema.table(tname).column(cname)
         assert not column.is_primary_key and not schema.is_foreign_key_endpoint(tname, cname)
-        data = generated.data_for(tname)
-        i = data.columns.index(column.name)
-        assert all(lo <= row[i] <= hi for row in data.rows)
+        i = schema.table(tname).index(column.name)
+        assert all(lo <= row[i] <= hi for row in generated.data_for(tname).rows)
 
 
 # Two candidates with the same rows, one ordered and one not, and an expected

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import sqlite3
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from sqlrerank.schema import (
     SchemaGraph,
     Table,
     classify_declared_type,
+    fold,
     introspect_schema,
     reverse_topo_order,
     topo_order_parents_first,
@@ -88,6 +91,47 @@ def test_case_insensitive_lookup(student_schema):
     assert student_schema.is_foreign_key_endpoint("ENROLLMENT", "STUDENT_ID")
     assert student_schema.is_foreign_key_endpoint("student", "student_id")
     assert not student_schema.is_foreign_key_endpoint("student", "age")
+
+
+def test_names_fold_in_ascii_only():
+    assert fold("StUdent_É") == "student_É"
+    table = Table("t", (col("É"), col("é")))
+    assert table.index("é") == 1 and not table.has_column("e")
+    schema = SchemaGraph(tables=(Table("Ä", (col("x"),)), Table("ä", (col("y"),))))
+    assert schema.table("ä").column_names() == ("y",)
+
+
+def test_foreign_keys_are_stored_as_declared():
+    tables = (Table("P", (col("Id", pk=True),)), Table("C", (col("Pid"),)))
+    declared = SchemaGraph(tables, (ForeignKey("C", "Pid", "P", "Id"),))
+    respelled = SchemaGraph(tables, (ForeignKey("c", "pID", "p", "ID"),))
+    assert respelled == declared
+    assert respelled.foreign_keys == (ForeignKey("C", "Pid", "P", "Id"),)
+
+
+def test_only_fold_maps_case():
+    """SQLite compares names in ASCII case only, and `schema.fold` is the one
+    place in the package that says so: no other code calls `.lower()`,
+    `.upper()` or `.casefold()`."""
+    package = Path(__file__).resolve().parent.parent / "src" / "sqlrerank"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(inner)
+            for node in tree.body
+            if path.name == "schema.py" and isinstance(node, ast.FunctionDef) and node.name == "fold"
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("lower", "upper", "casefold")
+            and id(node) not in allowed
+        ]
+    assert found == []
 
 
 # --- introspection ---------------------------------------------------------

@@ -262,8 +262,8 @@ def test_generate_suite_constrains_sort_columns(student_instance):
     )
     assert suite.cases
     for case in suite.cases:
-        data = case.db.data_for("student")
-        ages = [row[data.columns.index("age")] for row in data.rows]
+        i = case.db.schema.table("student").index("age")
+        ages = [row[i] for row in case.db.data_for("student").rows]
         assert all(isinstance(a, int) and 1 <= a <= 10 for a in ages)
 
 
